@@ -33,6 +33,7 @@ from .errors import (
     EmdError,
     IndexOutOfRange,
     InsufficientNodes,
+    InvalidNumber,
     InvariantViolation,
     LengthTooShort,
     MarginalMismatch,
@@ -143,6 +144,7 @@ __all__ = [
     "DimensionMismatch",
     "IndexOutOfRange",
     "DomainError",
+    "InvalidNumber",
     "MarginalMismatch",
     "BudgetExceeded",
     "ThresholdExceeded",

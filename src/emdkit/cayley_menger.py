@@ -75,7 +75,8 @@ class CmReport:
     ``(d-1) * emd == obstruction + pairwise_sum`` holds exactly on the
     rational backend; ``equality_holds`` reports the obstruction-free case,
     cross-checked against the middle-order-statistic criterion.  Float-backend
-    reports set ``approximate`` and use a 1e-9 tolerance.
+    reports set ``approximate`` and use a 1e-9 tolerance.  ``g`` is the gap
+    polynomial whose derivatives at q = 1 give ``emd`` and ``obstruction``.
     """
 
     emd: Scalar
@@ -84,6 +85,7 @@ class CmReport:
     pairwise: Mapping[tuple[int, int], Scalar]
     equality_holds: bool
     approximate: bool
+    g: GPolynomial
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairwise", MappingProxyType(dict(self.pairwise)))
@@ -176,6 +178,7 @@ def cm_decompose(xs: DistTuple) -> CmReport:
         pairwise=pairwise,
         equality_holds=obstruction_free,
         approximate=not exact,
+        g=g,
     )
 
 

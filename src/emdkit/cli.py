@@ -22,17 +22,18 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .cayley_menger import cm_decompose, g_polynomial
+from .cayley_menger import cm_decompose
 from .cost import cost_counting, cost_deltas, cost_epsilon
 from .errors import (
     BudgetExceeded,
     EmdError,
     InsufficientNodes,
+    InvalidNumber,
     InvariantViolation,
     ParseError,
     ThresholdExceeded,
@@ -61,10 +62,14 @@ class TupleDocument:
 
 
 def _parse_scalar(value: object, where: str) -> Fraction:
+    if isinstance(value, bool):
+        raise InvalidNumber(f"{where}: {value!r} is a bool, not a number")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):  # JSON NaN / Infinity; other JSON numbers are Fractions
+        raise InvalidNumber(f"{where}: {value!r} is not finite")
     if isinstance(value, str):
         text = value.strip()
         try:
@@ -72,9 +77,12 @@ def _parse_scalar(value: object, where: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
         try:
-            return Fraction(Decimal(text))
-        except Exception as exc:
+            number = Decimal(text)
+        except InvalidOperation as exc:
             raise ParseError(f"{where}: cannot parse scalar {value!r}") from exc
+        if not number.is_finite():
+            raise InvalidNumber(f"{where}: {value!r} is not finite")
+        return Fraction(number)
     raise ParseError(f"{where}: cannot parse scalar {value!r}")
 
 
@@ -115,7 +123,7 @@ def _parse_json_document(text: str) -> TupleDocument:
     if not isinstance(raw_rows, list) or not all(isinstance(r, list) for r in raw_rows):
         raise ParseError('"distributions" must be a list of rows')
     n = obj.get("n")
-    if n is not None and (not isinstance(n, int) or n < 1):
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
     rows = [
         [_parse_scalar(v, f"distribution {k + 1}") for v in row]
@@ -244,14 +252,13 @@ def _cmd_plan(args: argparse.Namespace) -> dict:
 def _cmd_decompose(args: argparse.Namespace) -> dict:
     doc = load_document(args.input)
     xs = doc.xs
-    g = g_polynomial(xs)
     report = cm_decompose(xs)
     digits = args.digits
     return {
         "command": "decompose",
         "input": {"n": xs.n, "d": xs.d, "digest": doc.digest},
         "exact": {
-            "g_coefficients": {str(w): exact_str(c) for w, c in sorted(g.coeffs.items())},
+            "g_coefficients": {str(w): exact_str(c) for w, c in sorted(report.g.coeffs.items())},
             "g_prime": exact_str(report.emd),
             "g_double_prime": exact_str(report.obstruction),
             "emd": exact_str(report.emd),
@@ -365,6 +372,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="emdkit",
@@ -375,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_digits(p):
         p.add_argument(
-            "--digits", type=int, default=DEFAULT_DIGITS,
+            "--digits", type=_positive_int, default=DEFAULT_DIGITS,
             help="significant digits for decimal renderings (default 10)",
         )
 

@@ -16,6 +16,7 @@ __all__ = [
     "DimensionMismatch",
     "IndexOutOfRange",
     "DomainError",
+    "InvalidNumber",
     "MarginalMismatch",
     "BudgetExceeded",
     "ThresholdExceeded",
@@ -54,6 +55,10 @@ class IndexOutOfRange(EmdError, IndexError):
 
 class DomainError(EmdError, ValueError):
     """An argument lies outside its documented domain."""
+
+
+class InvalidNumber(DomainError):
+    """A value is a NaN, an infinity, or a bool posing as a number."""
 
 
 class MarginalMismatch(EmdError, ValueError):

@@ -38,10 +38,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Union
-
-import numpy as np
-from scipy.special import betainc, gammaln
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .cost import cost_epsilon, lee_weight
 from .errors import (
@@ -52,6 +49,9 @@ from .errors import (
     ThresholdExceeded,
 )
 from .polynomial import RationalPolynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_EXACT_THRESHOLD",
@@ -176,6 +176,8 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     Newton iteration on the Legendre recurrence from the standard cosine
     initial guesses, run to 1e-15; symmetric to rounding.
     """
+    import numpy as np
+
     if nodes < 1:
         raise DomainError(f"gauss_legendre needs at least one node, got {nodes}")
     i = np.arange(nodes)
@@ -204,6 +206,9 @@ def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> Expecta
     beta function, and the weighted binomial mixture in log space, so the
     route stays stable at large d where expanded coefficients would overflow.
     """
+    import numpy as np
+    from scipy.special import betainc, gammaln
+
     if n < 1 or d < 2:
         raise DomainError(f"quadrature needs n >= 1 and d >= 2, got n={n}, d={d}")
     minimum = (d * n + 2) // 2

@@ -14,14 +14,15 @@ is split, and the reduction runs over that array in one fixed order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .simplex import Distribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["McEstimate", "sample_simplex", "mc_expected_emd"]
 
@@ -42,13 +43,10 @@ class McEstimate:
             raise DomainError(f"stderr must be >= 0, got {self.stderr}")
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    key = ((seed & _MASK64) << 64) | (index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def sample_simplex(n: int, rng: np.random.Generator) -> Distribution:
     """One uniform point of the n-simplex (sorted-uniform spacings)."""
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"sample_simplex needs n >= 1, got {n}")
     u = np.sort(rng.random(n))
@@ -57,9 +55,12 @@ def sample_simplex(n: int, rng: np.random.Generator) -> Distribution:
 
 
 def _chunk_emds(n: int, d: int, seed: int, start: int, stop: int, wt: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.empty(stop - start, dtype=np.float64)
     for s in range(start, stop):
-        rng = _substream(seed, s)
+        key = ((seed & _MASK64) << 64) | (s & _MASK64)  # the (seed, sample) substream
+        rng = np.random.Generator(np.random.Philox(key=key))
         u = rng.random((d, n))
         u.sort(axis=1)  # row i is now the cumulative vector of member i
         columns = np.sort(u, axis=0)
@@ -75,6 +76,8 @@ def mc_expected_emd(
     Deterministic given (n, d, samples, seed): identical bits regardless of
     ``workers``, which only partitions the sample range.
     """
+    import numpy as np
+
     if n < 1 or d < 2:
         raise DomainError(f"mc_expected_emd needs n >= 1 and d >= 2, got n={n}, d={d}")
     if samples < 2:
@@ -90,6 +93,8 @@ def mc_expected_emd(
     if workers == 1:
         chunks = [_chunk_emds(n, d, seed, 0, samples, wt)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_chunk_emds, n, d, seed, lo, hi, wt) for lo, hi in spans

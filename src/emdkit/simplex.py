@@ -20,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import isfinite
 from typing import Sequence, Union
 
 from .errors import (
     DimensionMismatch,
     DomainError,
     IndexOutOfRange,
+    InvalidNumber,
     LengthTooShort,
     NegativeMass,
     SumNotOne,
@@ -60,6 +62,16 @@ def is_exact(values: Sequence[Scalar]) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+def _check_mass(k: int, m: Scalar) -> None:
+    """Reject a bool, a NaN, an infinity or a negative value as the mass at site k + 1."""
+    if isinstance(m, bool):
+        raise InvalidNumber(f"mass at site {k + 1} is a bool, not a number: {m!r}")
+    if isinstance(m, float) and not isfinite(m):
+        raise InvalidNumber(f"mass at site {k + 1} is not finite: {m!r}")
+    if m < 0:
+        raise NegativeMass(f"mass at site {k + 1} is negative: {m!r}")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A point of the standard n-simplex, stored as its n+1 masses."""
@@ -72,8 +84,7 @@ class Distribution:
                 f"a distribution needs at least 2 sites, got {len(self.mass)}"
             )
         for k, m in enumerate(self.mass):
-            if m < 0:
-                raise NegativeMass(f"mass at site {k + 1} is negative: {m!r}")
+            _check_mass(k, m)
         total = sum(self.mass)
         if is_exact(self.mass):
             if total != 1:
@@ -158,14 +169,14 @@ def validate_distribution(raw: Sequence[Scalar], *, tol: float = FLOAT_SUM_TOL) 
 
     Exact input (ints / Fractions) must sum to one exactly.  Float input may
     deviate from one by at most ``tol`` (default 1e-12, enough to absorb a
-    round-trip through decimal text) and is then renormalized.
+    round-trip through decimal text) and is then renormalized.  NaN,
+    infinities and bools are refused with :class:`InvalidNumber`.
     """
     values = tuple(raw)
     if len(values) < 2:
         raise LengthTooShort(f"a distribution needs at least 2 sites, got {len(values)}")
     for k, m in enumerate(values):
-        if m < 0:
-            raise NegativeMass(f"mass at site {k + 1} is negative: {m!r}")
+        _check_mass(k, m)
     if is_exact(values):
         total = sum(values)
         if total != 1:

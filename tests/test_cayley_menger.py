@@ -7,6 +7,7 @@ Core claims:
     - every derivative at 1 is nonnegative; the k-th vanishes exactly when
       the middle order statistics at levels k..d-k+1 agree in every column
     - equality in the pairwise bound corresponds exactly to obstruction zero
+    - the decomposition report carries the gap polynomial it was built from
     - the vanishing count distinguishes identical tuples, generic tuples, and
       tuples with tied middles
 """
@@ -131,6 +132,13 @@ class TestDecomposition:
         assert not report.approximate
         # (d-1) * emd == obstruction + pairwise_sum, spelled out
         assert 5 * report.emd == report.obstruction + report.pairwise_sum
+
+    def test_report_carries_gap_polynomial(self, golden):
+        report = cm_decompose(golden)
+        assert report.g == g_polynomial(golden)
+        assert dict(report.g.coeffs) == {1: F(4, 5), 2: F(9, 10), 3: F(3, 10)}
+        assert g_derivative_at_one(report.g, 1) == report.emd
+        assert g_derivative_at_one(report.g, 2) == report.obstruction
 
     def test_identity_on_random_tuples(self, rng):
         for _ in range(150):

@@ -5,6 +5,8 @@ Core claims:
       are read as decimal text, so 0.2 means exactly 1/5
     - results carry both "p/q" strings and decimal renderings that re-parse
       to the exact value at the stated precision
+    - NaN, infinities and bools are rejected as values, and --digits must be
+      positive, each with exit code 1 and a message naming the culprit
     - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, and the
       selftest propagates failure
 """
@@ -82,6 +84,32 @@ class TestDocumentParsing:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "emd", "/nonexistent/x.json")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, culprit",
+        [
+            ('{"distributions": [[true, false], [false, true]]}', "True is a bool"),
+            ('{"distributions": [[NaN, 1], [0, 1]]}', "nan is not finite"),
+            ('{"distributions": [[Infinity, 0], [0, 1]]}', "inf is not finite"),
+            ('{"distributions": [["nan", 1], [0, 1]]}', "'nan' is not finite"),
+            ('{"distributions": [[0, 1], [1, "-inf"]]}', "'-inf' is not finite"),
+            ('{"n": true, "distributions": [[1, 0], [0, 1]]}', '"n" must be a positive'),
+        ],
+    )
+    def test_bools_and_non_finite_values_rejected(self, tmp_path, capsys, text, culprit):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert culprit in err
+
+    def test_non_finite_csv_row_is_not_a_header(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("nan,1\n0,1\n1,0\n")
+        code, _, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert "distribution 1: 'nan' is not finite" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
@@ -252,6 +280,13 @@ class TestCostCommand:
         code, _, _ = run_cli(capsys, "cost", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])
+    def test_non_finite_value_rejected(self, capsys, value):
+        code, doc, err = run_cli(capsys, "cost", "0.5", value)
+        assert code == 1
+        assert doc is None
+        assert f"value 2: {value!r} is not finite" in err
+
 
 class TestSelftestCommand:
     def test_default_budget_passes(self, capsys):
@@ -284,6 +319,15 @@ class TestParserAndRendering:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["frobnicate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_non_positive_digits_rejected(self, capsys, digits):
+        with pytest.raises(SystemExit) as exc:
+            main(["emd", GOLDEN_JSON, "--digits", digits])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --digits: must be a positive integer, got {digits}" in err
+        assert "Traceback" not in err
 
     def test_decimal_str_precision(self):
         value = F(1, 3)

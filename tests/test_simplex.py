@@ -2,7 +2,8 @@
 
 Core claims:
     - validate_distribution enforces length, nonnegativity, and unit sum,
-      renormalizing float input within 1e-12
+      renormalizing float input within 1e-12; NaN, infinities and bools are
+      rejected as masses, there and in Distribution itself
     - cumulative is the exact partial-sum transform and is injective
     - column extracts cumulative columns in member order, 1-based
     - order_stats sorts weakly increasing and is permutation-invariant
@@ -20,6 +21,7 @@ from emdkit import (
     Distribution,
     DomainError,
     IndexOutOfRange,
+    InvalidNumber,
     LengthTooShort,
     NegativeMass,
     SumNotOne,
@@ -68,6 +70,33 @@ class TestValidateDistribution:
     def test_exact_sum_must_be_exact(self):
         with pytest.raises(SumNotOne):
             validate_distribution([F(1, 3), F(1, 3), F(1, 3) + F(1, 10**12)])
+
+    @pytest.mark.parametrize(
+        "masses, site",
+        [
+            ([float("nan"), 1.0], "site 1"),
+            ([0.5, 0.5, float("nan")], "site 3"),
+            ([float("inf"), 1.0], "site 1"),
+            ([1.0, float("-inf")], "site 2"),
+            ([True, False], "site 1"),
+            ([F(1, 2), F(1, 2), False], "site 3"),
+        ],
+    )
+    def test_non_finite_and_bool_masses_rejected(self, masses, site):
+        with pytest.raises(InvalidNumber, match=site) as exc:
+            validate_distribution(masses)
+        assert isinstance(exc.value, DomainError)
+
+    @pytest.mark.parametrize(
+        "masses", [(float("nan"), 1.0), (float("inf"), 0.0), (True, False), (1, False)]
+    )
+    def test_distribution_rejects_non_finite_and_bool(self, masses):
+        with pytest.raises(InvalidNumber):
+            Distribution(masses)
+
+    def test_integer_masses_still_exact(self):
+        d = validate_distribution([0, 1])
+        assert d.mass == (0, 1) and d.exact
 
 
 class TestCumulative:
