@@ -66,6 +66,7 @@ from .simplex import (
     distribution_from_cumulative,
     is_exact,
     order_stats,
+    sorted_columns,
     validate_distribution,
 )
 from .transport import (
@@ -94,6 +95,7 @@ __all__ = [
     "cumulative",
     "distribution_from_cumulative",
     "column",
+    "sorted_columns",
     "order_stats",
     # cost
     "lee_weight",

@@ -32,7 +32,7 @@ from typing import Mapping
 
 from .cost import lee_weight
 from .errors import DomainError, InvariantViolation
-from .simplex import DistTuple, Scalar, column, is_exact, order_stats
+from .simplex import DistTuple, Scalar, is_exact, sorted_columns
 from .transport import emd, emd_pairwise
 
 __all__ = [
@@ -92,14 +92,18 @@ class CmReport:
 
 
 def g_polynomial(xs: DistTuple) -> GPolynomial:
-    """Accumulate every column's order-statistic gaps by Lee weight."""
+    """Accumulate every column's order-statistic gaps by Lee weight.
+
+    On float64 copies of rational masses, G'(x; 1) and G''(x; 1) stay within
+    4 * d**2 * n * 2**-52 of their exact values.
+    """
     d = xs.d
     zero = 0 if xs.exact else 0.0
     coeffs: dict[int, Scalar] = {w: zero for w in range(1, d // 2 + 1)}
-    for j in range(1, xs.n + 1):
-        deltas = order_stats(column(xs, j)).deltas
-        for i in range(1, d):
-            coeffs[lee_weight(i, d)] += deltas[i - 1]
+    weights = [lee_weight(i, d) for i in range(1, d)]
+    for col in sorted_columns(xs):
+        for i, w in enumerate(weights, start=1):
+            coeffs[w] += col[i] - col[i - 1]
     return GPolynomial(d=d, coeffs=coeffs)
 
 
@@ -115,19 +119,6 @@ def g_derivative_at_one(g: GPolynomial, k: int) -> Scalar:
         if factor:
             total += c * factor
     return total
-
-
-def _middles_agree(xs: DistTuple, k: int) -> bool:
-    """Whether X_j^(k) = ... = X_j^(d-k+1) in every column j."""
-    lo, hi = k - 1, xs.d - k  # 0-based slice bounds of the middle block
-    if lo >= hi:
-        return True
-    tol = 0 if xs.exact else _FLOAT_TOL
-    for j in range(1, xs.n + 1):
-        ordered = sorted(column(xs, j))
-        if ordered[hi] - ordered[lo] > tol:
-            return False
-    return True
 
 
 def cm_decompose(xs: DistTuple) -> CmReport:
@@ -164,7 +155,8 @@ def cm_decompose(xs: DistTuple) -> CmReport:
         )
 
     obstruction_free = abs(obstruction) <= tol
-    middles_equal = _middles_agree(xs, 2)
+    # Independent criterion: X_j^(2) = ... = X_j^(d-1) in every column j.
+    middles_equal = all(col[d - 2] - col[1] <= tol for col in sorted_columns(xs))
     if obstruction_free != middles_equal:
         raise InvariantViolation(
             f"equality criteria disagree: obstruction {obstruction!r} vs "

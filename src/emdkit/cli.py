@@ -47,7 +47,7 @@ from .expectation import (
 )
 from .sampling import mc_expected_emd
 from .selftest import run_selftest
-from .simplex import DistTuple, column, validate_distribution
+from .simplex import DistTuple, sorted_columns, validate_distribution
 from .transport import barycenter, emd, greedy_plan, plan_objective, sweep_plan
 
 DEFAULT_DIGITS = 10
@@ -205,7 +205,7 @@ def _plan_block(plan, digits: int) -> dict:
 def _cmd_emd(args: argparse.Namespace) -> dict:
     doc = load_document(args.input)
     xs = doc.xs
-    columns = [cost_deltas(column(xs, j)) for j in range(1, xs.n + 1)]
+    columns = [cost_deltas(col) for col in sorted_columns(xs)]
     total = sum(columns)
     result = {
         "command": "emd",
@@ -283,7 +283,6 @@ def _cmd_expected(args: argparse.Namespace) -> dict:
         raise ValidationError(f"expected needs n >= 1 and d >= 2, got n={n}, d={d}")
     digits = args.digits
     result: dict = {"command": "expected", "n": n, "d": d}
-    scale = n * (d // 2)
 
     if args.method == "exact":
         res = expected_emd_exact(n, d)
@@ -294,8 +293,7 @@ def _cmd_expected(args: argparse.Namespace) -> dict:
         result["method"] = {"name": "recursive"}
     elif args.method == "quadrature":
         res = expected_emd_quadrature(n, d, nodes=args.nodes)
-        nodes = args.nodes if args.nodes is not None else (d * n + 2) // 2 + 8
-        result["method"] = {"name": "quadrature", "nodes": nodes}
+        result["method"] = {"name": "quadrature", "nodes": res.nodes}
     else:  # mc
         estimate = mc_expected_emd(n, d, args.samples, args.seed)
         res = ExpectationResult(n=n, d=d, value=estimate.mean, method="mc")
@@ -309,11 +307,11 @@ def _cmd_expected(args: argparse.Namespace) -> dict:
     if isinstance(res.value, Fraction):
         exact_block = {"value": exact_str(res.value)}
         if args.normalized:
-            exact_block["normalized"] = exact_str(res.value / scale)
+            exact_block["normalized"] = exact_str(res.normalized)
         result["exact"] = exact_block
     decimal_block = {"value": decimal_str(res.value, digits)}
     if args.normalized:
-        decimal_block["normalized"] = decimal_str(res.value / scale, digits)
+        decimal_block["normalized"] = decimal_str(res.normalized, digits)
     result["decimal"] = decimal_block
     return result
 

@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cost import cost_epsilon, lee_weight
 from .errors import (
@@ -87,13 +87,15 @@ class ExpectationResult:
     """An expected-EMD value with its provenance.
 
     ``normalized`` divides by the maximum possible EMD, n * floor(d/2),
-    mapping the value into [0, 1].
+    mapping the value into [0, 1].  ``nodes`` is the Gauss-Legendre node
+    count of a quadrature result and None otherwise.
     """
 
     n: int
     d: int
     value: Union[Fraction, float]
     method: str  # "exact-integral" | "recursion" | "quadrature"
+    nodes: Optional[int] = None
 
     @property
     def normalized(self) -> Union[Fraction, float]:
@@ -235,17 +237,16 @@ def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> Expecta
         log_terms = log_coeff[:, None] + k[:, None] * log_u[None, :] + (d - k)[:, None] * log_1mu[None, :]
         terms = np.exp(log_terms)
         total += float(wz @ (wt @ terms))
-    return ExpectationResult(n=n, d=d, value=total, method="quadrature")
+    return ExpectationResult(n=n, d=d, value=total, method="quadrature", nodes=nodes)
 
 
-def expected_emd_recursive(
-    dims: Sequence[int], *, state_limit: int = DEFAULT_STATE_LIMIT
-) -> Fraction:
+def expected_emd_recursive(dims: Sequence[int]) -> Fraction:
     """Expected EMD on a product of simplices of sizes ``dims``, by recursion.
 
     Independent of the integral route.  States are memoized on the sorted
     tuple (the expected value is symmetric in the factors); the bound
-    C(sum(dims) + d, d) on the state count must stay within ``state_limit``.
+    C(sum(dims) + d, d) on the state count must stay within
+    ``DEFAULT_STATE_LIMIT``.
     """
     key = tuple(sorted(dims))
     if not key:
@@ -254,9 +255,9 @@ def expected_emd_recursive(
         raise DomainError(f"dims must be nonnegative integers, got {dims!r}")
     d = len(key)
     bound = comb(sum(key) + d, d)
-    if bound > state_limit:
+    if bound > DEFAULT_STATE_LIMIT:
         raise BudgetExceeded(
-            f"memo bound C({sum(key) + d},{d}) = {bound} exceeds limit {state_limit}"
+            f"memo bound C({sum(key) + d},{d}) = {bound} exceeds limit {DEFAULT_STATE_LIMIT}"
         )
 
     memo: dict[tuple[int, ...], Fraction] = {(0,) * d: Fraction(0)}

@@ -11,6 +11,10 @@ this package runs on the exact backend, where all identities hold as exact
 equalities.  Sequences containing floats use the float64 backend, reserved
 for sampling and Monte Carlo work.
 
+``sorted_columns`` is the one place where a tuple's cumulative columns are
+built; ``column``, ``cumulative`` and ``order_stats`` remain as the
+member-order reference definitions.
+
 Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 1..n), matching the usual mathematical convention; storage is 0-based.
 """
@@ -44,6 +48,7 @@ __all__ = [
     "cumulative",
     "distribution_from_cumulative",
     "column",
+    "sorted_columns",
     "order_stats",
 ]
 
@@ -164,28 +169,25 @@ class OrderStatistics:
     deltas: tuple[Scalar, ...]
 
 
-def validate_distribution(raw: Sequence[Scalar], *, tol: float = FLOAT_SUM_TOL) -> Distribution:
+def validate_distribution(raw: Sequence[Scalar]) -> Distribution:
     """Validate a raw mass sequence and return a :class:`Distribution`.
 
     Exact input (ints / Fractions) must sum to one exactly.  Float input may
-    deviate from one by at most ``tol`` (default 1e-12, enough to absorb a
+    deviate from one by at most ``FLOAT_SUM_TOL`` (1e-12, enough to absorb a
     round-trip through decimal text) and is then renormalized.  NaN,
     infinities and bools are refused with :class:`InvalidNumber`.
     """
     values = tuple(raw)
+    if is_exact(values):
+        return Distribution(values)  # checks length, masses and sum as below
     if len(values) < 2:
         raise LengthTooShort(f"a distribution needs at least 2 sites, got {len(values)}")
     for k, m in enumerate(values):
-        _check_mass(k, m)
-    if is_exact(values):
-        total = sum(values)
-        if total != 1:
-            raise SumNotOne(f"exact masses sum to {total}, not 1")
-        return Distribution(values)
+        _check_mass(k, m)  # before float(), which would turn a bool into a number
     floats = tuple(float(v) for v in values)
     total = sum(floats)
-    if abs(total - 1.0) > tol:
-        raise SumNotOne(f"float masses sum to {total!r}; deviation exceeds {tol}")
+    if abs(total - 1.0) > FLOAT_SUM_TOL:
+        raise SumNotOne(f"float masses sum to {total!r}; deviation exceeds {FLOAT_SUM_TOL}")
     if total != 1.0:
         floats = tuple(v / total for v in floats)
     return Distribution(floats)
@@ -210,6 +212,11 @@ def column(xs: DistTuple, j: int) -> tuple[Scalar, ...]:
     if not 1 <= j <= xs.n:
         raise IndexOutOfRange(f"column index {j} outside 1..{xs.n}")
     return tuple(sum(member.mass[:j]) for member in xs.members)
+
+
+def sorted_columns(xs: DistTuple) -> list[list[Scalar]]:
+    """All n cumulative columns in one pass; entry j-1 is ``sorted(column(xs, j))``."""
+    return [sorted(col) for col in zip(*(accumulate(m.mass[:-1]) for m in xs.members))]
 
 
 def order_stats(v: Sequence[Scalar]) -> OrderStatistics:

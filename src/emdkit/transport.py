@@ -22,16 +22,17 @@ solver and serves as the independent optimality oracle for all of the above.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from types import MappingProxyType
 from typing import Mapping
 
 from .cost import cost_deltas, cost_epsilon
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolation, MarginalMismatch
 from .exactlp import solve_min
-from .simplex import Distribution, DistTuple, Scalar, cumulative, is_exact
+from .simplex import Distribution, DistTuple, Scalar, is_exact, sorted_columns
 
 __all__ = [
     "TransportPlan",
@@ -157,37 +158,34 @@ def sweep_plan(xs: DistTuple) -> Breakpoints:
     Converting labeled intervals to masses reproduces ``greedy_plan`` exactly
     on the rational backend.
     """
-    n, d = xs.n, xs.d
-    partials = [cumulative(member).partial for member in xs.members]
+    partials = [tuple(accumulate(member.mass[:-1])) for member in xs.members]
     cut_set = {0 * partials[0][0]}  # zero in the backend's type
     for partial in partials:
         cut_set.update(v for v in partial if v < 1)
     cuts = tuple(sorted(cut_set))
-
-    labels = []
-    for t in cuts:
-        label = tuple(
-            1 + sum(1 for v in partial if v <= t) for partial in partials
-        )
-        labels.append(label)
-    return Breakpoints(n=n, d=d, cuts=cuts, labels=tuple(labels))
+    # Partial sums of nonnegative masses are sorted, so bisection counts them.
+    labels = tuple(
+        tuple(1 + bisect_right(partial, t) for partial in partials) for t in cuts
+    )
+    return Breakpoints(n=xs.n, d=xs.d, cuts=cuts, labels=labels)
 
 
 def emd(xs: DistTuple) -> Scalar:
-    """The d-fold earth mover's distance, as the sum of column costs."""
-    partials = [cumulative(member).partial for member in xs.members]
-    return sum(
-        cost_deltas([partial[j] for partial in partials]) for j in range(xs.n)
-    )
+    """The d-fold earth mover's distance, as the sum of column costs.
+
+    On float64 copies of rational masses it stays within
+    4 * d**2 * n * 2**-52 of the exact value.
+    """
+    return sum(cost_deltas(col) for col in sorted_columns(xs))
 
 
 def emd_pairwise(x: Distribution, y: Distribution) -> Scalar:
     """EMD of two distributions: the L1 distance of their cumulative vectors."""
     if x.n != y.n:
         raise DimensionMismatch(f"operands have n = {x.n} and n = {y.n}")
-    xp = cumulative(x).partial
-    yp = cumulative(y).partial
-    return sum(abs(a - b) for a, b in zip(xp, yp))
+    return sum(
+        abs(a - b) for a, b in zip(accumulate(x.mass[:-1]), accumulate(y.mass[:-1]))
+    )
 
 
 def plan_objective(plan: TransportPlan) -> Scalar:

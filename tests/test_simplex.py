@@ -7,6 +7,8 @@ Core claims:
     - cumulative is the exact partial-sum transform and is injective
     - column extracts cumulative columns in member order, 1-based
     - order_stats sorts weakly increasing and is permutation-invariant
+    - sorted_columns gives every column sorted, equal to sorted(column(xs, j)),
+      on exact and float tuples with zero masses and ties
 """
 
 from fractions import Fraction as F
@@ -29,6 +31,7 @@ from emdkit import (
     cumulative,
     distribution_from_cumulative,
     order_stats,
+    sorted_columns,
     validate_distribution,
 )
 
@@ -190,6 +193,54 @@ class TestOrderStats:
             os = order_stats(values)
             assert sum(os.deltas) == os.sorted[-1] - os.sorted[0]
             assert sorted(values) == list(os.sorted)
+
+
+class TestSortedColumns:
+    @staticmethod
+    def assert_matches_column(xs):
+        cols = sorted_columns(xs)
+        assert len(cols) == xs.n
+        for j in range(1, xs.n + 1):
+            assert cols[j - 1] == sorted(column(xs, j))
+
+    @staticmethod
+    def float_copy(xs):
+        return DistTuple(
+            tuple(Distribution(tuple(float(m) for m in x.mass)) for x in xs.members)
+        )
+
+    def test_reference_first_column(self):
+        assert sorted_columns(golden_tuple())[0] == [
+            F(0), F(1, 10), F(1, 5), F(3, 10), F(3, 5), F(7, 10)
+        ]
+
+    def test_zero_masses_and_ties(self):
+        a = validate_distribution(frac("0", "0.5", "0", "0.5"))
+        b = validate_distribution(frac("0.5", "0", "0", "0.5"))
+        c = validate_distribution(frac("0", "0", "0", "1"))
+        xs = DistTuple((a, b, c, a))
+        half = F(1, 2)
+        assert sorted_columns(xs) == [[0, 0, 0, half], [0, half, half, half], [0, half, half, half]]
+        self.assert_matches_column(xs)
+        self.assert_matches_column(self.float_copy(xs))
+
+    def test_random_exact_and_float_tuples(self, rng):
+        for _ in range(150):
+            n, d = rng.randint(1, 8), rng.randint(2, 7)
+            den = rng.choice([2, 3, 10, 24])  # small denominators: zero masses, ties
+            members = [random_rational_distribution(rng, n, den) for _ in range(d)]
+            if rng.random() < 0.5:
+                members[-1] = members[0]
+            xs = DistTuple(tuple(members))
+            self.assert_matches_column(xs)
+            self.assert_matches_column(self.float_copy(xs))
+            renormalized = DistTuple(
+                tuple(
+                    validate_distribution([float(m) * (1 + 1e-13) for m in x.mass])
+                    for x in members
+                )
+            )
+            self.assert_matches_column(renormalized)
 
 
 class TestDistTuple:

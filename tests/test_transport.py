@@ -8,6 +8,8 @@ Core claims:
     - the exact LP oracle confirms optimality
     - the pairwise distance is a metric; a triple's EMD is half its pairwise
       sum; the general EMD dominates pairwise_sum/(d-1)
+    - on float tuples with zero masses and repeated cut values, the sweep
+      labels each cut t with 1 + #{k : X^i_k <= t}
     - the barycenter is a valid distribution reachable at plan cost
 """
 
@@ -24,6 +26,7 @@ from emdkit import (
     TransportPlan,
     barycenter,
     check_marginals,
+    cumulative,
     emd,
     emd_pairwise,
     greedy_plan,
@@ -112,6 +115,31 @@ class TestSweepPlan:
             sweep = sweep_plan(xs)
             assert sweep.cuts[0] == 0
             assert sum(sweep.lengths()) == 1
+
+
+class TestSweepLabelsOnFloats:
+    def test_labels_match_definition(self, rng):
+        repeated_cuts = zero_masses = 0
+        for _ in range(150):
+            n, d = rng.randint(1, 6), rng.randint(2, 6)
+            den = rng.choice([4, 8, 10])  # dyadic and non-dyadic float masses
+            exact = list(random_rational_tuple(rng, n, d, den).members)
+            if rng.random() < 0.5:
+                exact[-1] = exact[0]
+            xs = DistTuple(
+                tuple(Distribution(tuple(float(m) for m in x.mass)) for x in exact)
+            )
+            partials = [cumulative(member).partial for member in xs.members]
+            sweep = sweep_plan(xs)
+            for t, label in zip(sweep.cuts, sweep.labels):
+                assert label == tuple(
+                    1 + sum(1 for v in partial if v <= t) for partial in partials
+                )
+            repeated_cuts += any(
+                sum(t in partial for partial in partials) > 1 for t in sweep.cuts[1:]
+            )
+            zero_masses += any(0.0 in member.mass for member in xs.members)
+        assert repeated_cuts > 0 and zero_masses > 0
 
 
 class TestTripleAgreement:
