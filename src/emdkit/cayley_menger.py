@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .cost import lee_weight
+from .cost import cost_deltas, lee_weight
 from .errors import DomainError, InvariantViolation
 from .simplex import DistTuple, Scalar, is_exact, sorted_columns
-from .transport import emd, emd_pairwise
+from .transport import emd_pairwise
 
 __all__ = [
     "GPolynomial",
@@ -97,11 +97,13 @@ def g_polynomial(xs: DistTuple) -> GPolynomial:
     On float64 copies of rational masses, G'(x; 1) and G''(x; 1) stay within
     4 * d**2 * n * 2**-52 of their exact values.
     """
-    d = xs.d
-    zero = 0 if xs.exact else 0.0
-    coeffs: dict[int, Scalar] = {w: zero for w in range(1, d // 2 + 1)}
+    return _gap_polynomial(sorted_columns(xs), xs.d, xs.exact)
+
+
+def _gap_polynomial(columns: list[list[Scalar]], d: int, exact: bool) -> GPolynomial:
+    coeffs: dict[int, Scalar] = {w: 0 if exact else 0.0 for w in range(1, d // 2 + 1)}
     weights = [lee_weight(i, d) for i in range(1, d)]
-    for col in sorted_columns(xs):
+    for col in columns:
         for i, w in enumerate(weights, start=1):
             coeffs[w] += col[i] - col[i - 1]
     return GPolynomial(d=d, coeffs=coeffs)
@@ -124,17 +126,19 @@ def g_derivative_at_one(g: GPolynomial, k: int) -> Scalar:
 def cm_decompose(xs: DistTuple) -> CmReport:
     """Decompose the d-fold EMD into pairwise EMDs plus the obstruction.
 
-    The EMD is computed independently through the column form and verified
-    against both the first-derivative identity and the decomposition identity
-    (exactly on the rational backend); a failure of either is a bug and
-    raises :class:`InvariantViolation`.
+    The sorted columns are built once and read three ways: the EMD through
+    the column form, the gap polynomial, and the middle-order-statistic scan.
+    The EMD is verified against both the first-derivative identity and the
+    decomposition identity (exactly on the rational backend); a failure of
+    either is a bug and raises :class:`InvariantViolation`.
     """
     d = xs.d
     exact = xs.exact
     tol = 0 if exact else _FLOAT_TOL
 
-    g = g_polynomial(xs)
-    emd_value = emd(xs)
+    columns = sorted_columns(xs)
+    g = _gap_polynomial(columns, d, exact)
+    emd_value = sum(cost_deltas(col) for col in columns)
     first = g_derivative_at_one(g, 1)
     if abs(first - emd_value) > tol:
         raise InvariantViolation(
@@ -156,7 +160,7 @@ def cm_decompose(xs: DistTuple) -> CmReport:
 
     obstruction_free = abs(obstruction) <= tol
     # Independent criterion: X_j^(2) = ... = X_j^(d-1) in every column j.
-    middles_equal = all(col[d - 2] - col[1] <= tol for col in sorted_columns(xs))
+    middles_equal = all(col[d - 2] - col[1] <= tol for col in columns)
     if obstruction_free != middles_equal:
         raise InvariantViolation(
             f"equality criteria disagree: obstruction {obstruction!r} vs "

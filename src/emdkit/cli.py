@@ -115,7 +115,7 @@ def _document_from_rows(rows: list[list[Fraction]], n: Optional[int]) -> TupleDo
 def _parse_json_document(text: str) -> TupleDocument:
     try:
         obj = json.loads(text, parse_float=lambda s: Fraction(Decimal(s)))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "distributions" not in obj:
         raise ParseError('JSON document must be an object with a "distributions" key')
@@ -154,14 +154,14 @@ def _parse_csv_document(text: str) -> TupleDocument:
 
 def load_document(path: str) -> TupleDocument:
     """Read a tuple document from a file path or '-' (stdin)."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if path.endswith(".csv"):
         return _parse_csv_document(text)

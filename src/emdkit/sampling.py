@@ -7,9 +7,10 @@ themselves, so a tuple's EMD reduces to sorting columns and Lee-weighting
 the gaps.
 
 Every Monte Carlo sample draws from its own counter-based substream keyed by
-(seed, sample index), so partitioning the sample range across workers cannot
-change any result: the per-sample value array is identical however the work
-is split, and the reduction runs over that array in one fixed order.
+(seed, sample index), so partitioning the sample range into spans cannot
+change any result: the per-sample value array is identical however the range
+is split, and the reduction runs over that array in one fixed order.  The
+spans run one after another in this process; nothing runs in parallel.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def mc_expected_emd(
     """Mean and standard error of the EMD over independent uniform d-tuples.
 
     Deterministic given (n, d, samples, seed): identical bits regardless of
-    ``workers``, which only partitions the sample range.
+    ``workers``, which only splits the sample range into that many spans, run
+    one after another in the calling thread (nothing runs in parallel).
     """
     import numpy as np
 
@@ -89,18 +91,9 @@ def mc_expected_emd(
     wt = np.minimum(k, d - k)
 
     bounds = [round(samples * w / workers) for w in range(workers + 1)]
-    spans = [(bounds[w], bounds[w + 1]) for w in range(workers)]
-    if workers == 1:
-        chunks = [_chunk_emds(n, d, seed, 0, samples, wt)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_chunk_emds, n, d, seed, lo, hi, wt) for lo, hi in spans
-            ]
-            chunks = [f.result() for f in futures]
-    values = np.concatenate(chunks)
+    values = np.concatenate(
+        [_chunk_emds(n, d, seed, lo, hi, wt) for lo, hi in zip(bounds, bounds[1:])]
+    )
 
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / sqrt(samples))

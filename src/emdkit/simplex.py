@@ -11,9 +11,11 @@ this package runs on the exact backend, where all identities hold as exact
 equalities.  Sequences containing floats use the float64 backend, reserved
 for sampling and Monte Carlo work.
 
-``sorted_columns`` is the one place where a tuple's cumulative columns are
-built; ``column``, ``cumulative`` and ``order_stats`` remain as the
-member-order reference definitions.
+A :class:`Distribution` computes its partial sums once, at validation, and
+keeps them as ``partial``; ``sorted_columns`` is the one place where a
+tuple's cumulative columns are built from them.  ``column`` (which re-sums
+the masses), ``cumulative`` and ``order_stats`` remain as the member-order
+reference definitions.
 
 Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 1..n), matching the usual mathematical convention; storage is 0-based.
@@ -21,7 +23,7 @@ Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import isfinite
@@ -79,9 +81,14 @@ def _check_mass(k: int, m: Scalar) -> None:
 
 @dataclass(frozen=True)
 class Distribution:
-    """A point of the standard n-simplex, stored as its n+1 masses."""
+    """A point of the standard n-simplex, stored as its n+1 masses.
+
+    ``partial`` holds the n partial sums ``X_1, ..., X_n``, built once here;
+    it takes no part in equality, hashing or ``repr``.
+    """
 
     mass: tuple[Scalar, ...]
+    partial: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mass) < 2:
@@ -96,6 +103,7 @@ class Distribution:
                 raise SumNotOne(f"exact masses sum to {total}, not 1")
         elif abs(total - 1.0) > _FLOAT_GUARD:
             raise SumNotOne(f"float masses sum to {total!r}, not 1")
+        object.__setattr__(self, "partial", tuple(accumulate(self.mass[:-1])))
 
     @property
     def n(self) -> int:
@@ -195,7 +203,7 @@ def validate_distribution(raw: Sequence[Scalar]) -> Distribution:
 
 def cumulative(x: Distribution) -> CumulativeVector:
     """Partial sums ``X_j = x_1 + ... + x_j`` for j = 1..n."""
-    return CumulativeVector(tuple(accumulate(x.mass[:-1])))
+    return CumulativeVector(x.partial)
 
 
 def distribution_from_cumulative(cv: CumulativeVector) -> Distribution:
@@ -216,7 +224,7 @@ def column(xs: DistTuple, j: int) -> tuple[Scalar, ...]:
 
 def sorted_columns(xs: DistTuple) -> list[list[Scalar]]:
     """All n cumulative columns in one pass; entry j-1 is ``sorted(column(xs, j))``."""
-    return [sorted(col) for col in zip(*(accumulate(m.mass[:-1]) for m in xs.members))]
+    return [sorted(col) for col in zip(*(m.partial for m in xs.members))]
 
 
 def order_stats(v: Sequence[Scalar]) -> OrderStatistics:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping
 
@@ -158,8 +158,8 @@ def sweep_plan(xs: DistTuple) -> Breakpoints:
     Converting labeled intervals to masses reproduces ``greedy_plan`` exactly
     on the rational backend.
     """
-    partials = [tuple(accumulate(member.mass[:-1])) for member in xs.members]
-    cut_set = {0 * partials[0][0]}  # zero in the backend's type
+    partials = [member.partial for member in xs.members]
+    cut_set = {abs(0 * partials[0][0])}  # +0 in the backend's type, never -0.0
     for partial in partials:
         cut_set.update(v for v in partial if v < 1)
     cuts = tuple(sorted(cut_set))
@@ -183,9 +183,7 @@ def emd_pairwise(x: Distribution, y: Distribution) -> Scalar:
     """EMD of two distributions: the L1 distance of their cumulative vectors."""
     if x.n != y.n:
         raise DimensionMismatch(f"operands have n = {x.n} and n = {y.n}")
-    return sum(
-        abs(a - b) for a, b in zip(accumulate(x.mass[:-1]), accumulate(y.mass[:-1]))
-    )
+    return sum(abs(a - b) for a, b in zip(x.partial, y.partial))
 
 
 def plan_objective(plan: TransportPlan) -> Scalar:
@@ -249,18 +247,12 @@ def lp_oracle_emd(xs: DistTuple, *, budget: int = 4096) -> Scalar:
         raise BudgetExceeded(f"(n+1)^d = {nvars} variables exceed budget {budget}")
 
     keys = list(product(range(1, n + 2), repeat=d))
-    index = {y: k for k, y in enumerate(keys)}
-
     costs = [Fraction(cost_epsilon(y)) for y in keys]
-    a: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(d):
-        for j in range(1, n + 2):
-            row = [Fraction(0)] * nvars
-            for y in keys:
-                if y[i] == j:
-                    row[index[y]] = Fraction(1)
-            a.append(row)
-            b.append(Fraction(xs.members[i].mass[j - 1]))
+    # Row i*(n+1) + j-1 constrains member i's mass at site j, member-major.
+    a = [[Fraction(0)] * nvars for _ in range(d * (n + 1))]
+    for k, y in enumerate(keys):
+        for i, site in enumerate(y):
+            a[i * (n + 1) + site - 1][k] = Fraction(1)
+    b = [Fraction(m) for member in xs.members for m in member.mass]
     value, _ = solve_min(a, b, costs)
     return value

@@ -7,7 +7,8 @@ Core claims:
     - every derivative at 1 is nonnegative; the k-th vanishes exactly when
       the middle order statistics at levels k..d-k+1 agree in every column
     - equality in the pairwise bound corresponds exactly to obstruction zero
-    - the decomposition report carries the gap polynomial it was built from
+    - the decomposition report carries the gap polynomial it was built from,
+      and builds the tuple's sorted columns once
     - the vanishing count distinguishes identical tuples, generic tuples, and
       tuples with tied middles
 """
@@ -28,6 +29,7 @@ from emdkit import (
     emd_pairwise,
     g_derivative_at_one,
     g_polynomial,
+    sorted_columns,
     validate_distribution,
     vanishing_order,
 )
@@ -139,6 +141,21 @@ class TestDecomposition:
         assert dict(report.g.coeffs) == {1: F(4, 5), 2: F(9, 10), 3: F(3, 10)}
         assert g_derivative_at_one(report.g, 1) == report.emd
         assert g_derivative_at_one(report.g, 2) == report.obstruction
+
+    def test_columns_built_once(self, golden, monkeypatch):
+        import emdkit.cayley_menger
+        import emdkit.transport
+
+        calls = []
+
+        def counting(xs):
+            calls.append(xs)
+            return sorted_columns(xs)
+
+        monkeypatch.setattr(emdkit.cayley_menger, "sorted_columns", counting)
+        monkeypatch.setattr(emdkit.transport, "sorted_columns", counting)
+        assert cm_decompose(golden).emd == F(7, 2)
+        assert len(calls) == 1
 
     def test_identity_on_random_tuples(self, rng):
         for _ in range(150):

@@ -7,21 +7,34 @@ Core claims:
       to the exact value at the stated precision
     - NaN, infinities and bools are rejected as values, and --digits must be
       positive, each with exit code 1 and a message naming the culprit
+    - non-UTF-8 files, JSON nested too deeply and JSON integers past the
+      interpreter's digit limit are parse errors (exit 1), not tracebacks;
+      arbitrary bytes, small JSON and small CSV documents always end in an
+      exit code
     - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, and the
       selftest propagates failure
 """
 
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import emdkit
 
 from emdkit.cli import build_parser, decimal_str, load_document, main
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(emdkit.__file__).resolve().parents[1])
 GOLDEN_JSON = str(DATA / "golden6.json")
 GOLDEN_CSV = str(DATA / "golden6.csv")
 
@@ -111,15 +124,78 @@ class TestDocumentParsing:
         assert code == 1
         assert "distribution 1: 'nan' is not finite" in err
 
-    def test_stdin_input(self, capsys, monkeypatch):
-        import io
+    @pytest.mark.parametrize(
+        "content, culprit",
+        [
+            (b'\xff\xfe{"distributions": [[1, 0], [0, 1]]}', "can't decode byte 0xff"),
+            (
+                ('{"distributions": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+                "invalid JSON: maximum recursion depth exceeded",
+            ),
+            (
+                ('{"distributions": [[1' + "0" * 5000 + ", 0], [0, 1]]}").encode(),
+                "invalid JSON: Exceeds the limit",
+            ),
+        ],
+        ids=["non-utf8", "deeply-nested", "huge-integer"],
+    )
+    def test_unreadable_documents_are_parse_errors(self, tmp_path, capsys, content, culprit):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert culprit in err
 
+    def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(
             sys, "stdin", io.StringIO('{"distributions": [[1, 0], [0, 1]]}')
         )
         code, doc, _ = run_cli(capsys, "emd", "-")
         assert code == 0
         assert doc["exact"]["emd"] == "1"
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "1/2", "1/3", "2/3", "-0", "1e-3", "nan", "x", ""]),
+    st.text(max_size=4),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), _CELLS
+)
+_JSON_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"distributions": st.lists(st.lists(_JSON_SCALARS, max_size=4), max_size=4)},
+        optional={"n": _JSON_SCALARS},
+    ),
+    st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=8),
+).map(lambda obj: json.dumps(obj).encode())
+_CSV_DOCUMENTS = st.lists(st.lists(_CELLS, max_size=4), max_size=4).map(
+    lambda rows: "\n".join(",".join(row) for row in rows).encode()
+)
+
+
+class TestDocumentFuzz:
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        content=st.one_of(st.binary(max_size=48), _JSON_DOCUMENTS, _CSV_DOCUMENTS),
+        suffix=st.sampled_from([".json", ".csv", ".txt"]),
+        command=st.sampled_from(["emd", "plan", "decompose"]),
+    )
+    def test_documents_end_in_an_exit_code(self, content, suffix, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc" + suffix)
+            with open(path, "wb") as handle:
+                handle.write(content)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, path])
+        assert code in {0, 1, 2, 3}
 
 
 class TestEmdCommand:
@@ -337,10 +413,13 @@ class TestParserAndRendering:
         assert abs(reparsed - tiny) <= tiny * F(10) ** (-11)
 
     def test_console_script_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "emdkit.cli", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "emdkit" in result.stdout

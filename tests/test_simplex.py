@@ -5,6 +5,8 @@ Core claims:
       renormalizing float input within 1e-12; NaN, infinities and bools are
       rejected as masses, there and in Distribution itself
     - cumulative is the exact partial-sum transform and is injective
+    - a Distribution stores its partial sums at validation; they equal the
+      prefix sums and take no part in equality, hashing or repr
     - column extracts cumulative columns in member order, 1-based
     - order_stats sorts weakly increasing and is permutation-invariant
     - sorted_columns gives every column sorted, equal to sorted(column(xs, j)),
@@ -134,6 +136,22 @@ class TestCumulative:
     def test_vector_above_one_rejected(self):
         with pytest.raises(DomainError):
             CumulativeVector((F(1, 2), F(3, 2)))
+
+
+class TestPartialSums:
+    def test_stored_partial_sums_are_the_prefix_sums(self, rng):
+        for _ in range(100):
+            exact = random_rational_distribution(rng, rng.randint(1, 8))
+            for d in (exact, Distribution(tuple(float(m) for m in exact.mass))):
+                prefix = tuple(sum(d.mass[:j]) for j in range(1, d.n + 1))
+                assert d.partial == cumulative(d).partial == prefix
+
+    def test_partial_sums_outside_equality_hash_and_repr(self):
+        a = Distribution((F(1, 4), F(3, 4)))
+        b = Distribution((F(1, 4), F(3, 4)))
+        object.__setattr__(b, "partial", (F(1, 2),))  # tamper with the stored sums
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "Distribution(mass=(Fraction(1, 4), Fraction(3, 4)))"
 
 
 class TestColumn:

@@ -10,9 +10,11 @@ Core claims:
       sum; the general EMD dominates pairwise_sum/(d-1)
     - on float tuples with zero masses and repeated cut values, the sweep
       labels each cut t with 1 + #{k : X^i_k <= t}
+    - the sweep's first cut is +0 in the backend's type, even after a -0.0 mass
     - the barycenter is a valid distribution reachable at plan cost
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +94,16 @@ class TestSweepPlan:
 
     def test_reference_objective(self, golden):
         assert sweep_plan(golden).objective() == F(7, 2)
+
+    def test_first_cut_is_positive_zero_in_backend_type(self):
+        floats = pair(Distribution((-0.0, 0.5, 0.5)), Distribution((0.25, 0.25, 0.5)))
+        first = sweep_plan(floats).cuts[0]
+        assert type(first) is float and math.copysign(1.0, first) == 1.0
+        assert sweep_plan(floats).cuts == (0.0, 0.25, 0.5)
+        exact = sweep_plan(pair(dist("0.5", "0.5"), dist("0.25", "0.75"))).cuts[0]
+        assert type(exact) is F and exact == 0
+        ints = sweep_plan(pair(Distribution((1, 0)), Distribution((0, 1)))).cuts[0]
+        assert type(ints) is int and ints == 0
 
     def test_repeated_distribution_costs_nothing(self, rng):
         member = random_rational_tuple(rng, 3, 2).members[0]
