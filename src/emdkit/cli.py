@@ -7,7 +7,9 @@ Input documents carry a d-tuple of distributions, either as JSON
 or as CSV with one distribution per row (header optional).  Values may be
 JSON numbers, decimal strings, or rational strings "p/q"; every form parses
 to an exact rational (JSON floats are intercepted as text), so results print
-both as "p/q" strings and as decimals at a configurable precision.
+both as "p/q" strings and as decimals at a configurable precision.  A decimal
+whose exponent lies beyond +-MAX_DECIMAL_EXPONENT is refused before any
+integer is built from it.
 
 Exit codes: 0 success, 1 parse/validation, 2 budget/threshold, 3 internal
 invariant violation.
@@ -52,6 +54,10 @@ from .transport import barycenter, emd, greedy_plan, plan_objective, sweep_plan
 
 DEFAULT_DIGITS = 10
 
+#: Largest |adjusted exponent| of an accepted decimal: 1e1000 still parses,
+#: 1e1001 and 1e-1001 are refused.
+MAX_DECIMAL_EXPONENT = 1000
+
 
 @dataclass(frozen=True)
 class TupleDocument:
@@ -59,6 +65,19 @@ class TupleDocument:
 
     xs: DistTuple
     digest: str
+
+
+def _bounded_decimal(value: str, where: str) -> Decimal:
+    """Parse a decimal, refusing an exponent beyond +-MAX_DECIMAL_EXPONENT."""
+    try:
+        number = Decimal(value.strip())
+    except InvalidOperation as exc:  # also an exponent beyond Decimal's own range
+        raise ParseError(f"{where}: cannot parse scalar {value!r}") from exc
+    if number.is_finite() and abs(number.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise InvalidNumber(
+            f"{where}: {value!r} has a decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}"
+        )
+    return number
 
 
 def _parse_scalar(value: object, where: str) -> Fraction:
@@ -72,14 +91,14 @@ def _parse_scalar(value: object, where: str) -> Fraction:
         raise InvalidNumber(f"{where}: {value!r} is not finite")
     if isinstance(value, str):
         text = value.strip()
+        # A decimal's exponent is bounded before Fraction builds 10**exponent.
+        number = None if "/" in text else _bounded_decimal(value, where)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
-        try:
-            number = Decimal(text)
-        except InvalidOperation as exc:
-            raise ParseError(f"{where}: cannot parse scalar {value!r}") from exc
+        if number is None:
+            raise ParseError(f"{where}: cannot parse scalar {value!r}")
         if not number.is_finite():
             raise InvalidNumber(f"{where}: {value!r} is not finite")
         return Fraction(number)
@@ -114,7 +133,11 @@ def _document_from_rows(rows: list[list[Fraction]], n: Optional[int]) -> TupleDo
 
 def _parse_json_document(text: str) -> TupleDocument:
     try:
-        obj = json.loads(text, parse_float=lambda s: Fraction(Decimal(s)))
+        obj = json.loads(
+            text, parse_float=lambda s: Fraction(_bounded_decimal(s, "JSON number"))
+        )
+    except EmdError:  # from parse_float, already typed
+        raise
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "distributions" not in obj:

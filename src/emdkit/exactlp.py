@@ -18,31 +18,41 @@ __all__ = ["solve_min"]
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    inv = 1 / piv
-    tableau[row] = [v * inv for v in tableau[row]]
+    """Pivot in place, touching only the pivot row's nonzero columns."""
     pivot_row = tableau[row]
+    inv = 1 / pivot_row[col]
+    nonzero = [j for j, v in enumerate(pivot_row) if v]
+    for j in nonzero:
+        pivot_row[j] *= inv
     for r, other in enumerate(tableau):
-        if r == row:
-            continue
         factor = other[col]
-        if factor:
-            tableau[r] = [v - factor * p for v, p in zip(other, pivot_row)]
+        if factor and r != row:
+            for j in nonzero:
+                other[j] -= factor * pivot_row[j]
     basis[row] = col
 
 
-def _run(tableau: list[list[Fraction]], basis: list[int], allowed: int) -> None:
-    """Optimize in place; the last tableau row holds reduced costs.
+def _optimize(tableau: list[list[Fraction]], basis: list[int], cost: Sequence) -> Fraction:
+    """Minimize ``cost`` over the tableau in place; return minus the optimum.
 
-    Only columns with index < ``allowed`` may enter the basis (used to keep
-    artificial variables out during phase 2).
+    Installs ``cost`` reduced against the current basis as the objective row,
+    then pivots by Bland's rule, letting only the first ``len(cost)`` columns
+    enter the basis.  Every tableau row has ``len(cost) + 1`` columns, the
+    last being the right-hand side.
     """
-    m = len(tableau) - 1
+    obj = [Fraction(v) for v in cost] + [Fraction(0)]
+    for row, var in zip(tableau, basis):
+        factor = obj[var]
+        if factor:
+            for j, v in enumerate(row):
+                if v:
+                    obj[j] -= factor * v
+    m = len(tableau)
+    tableau.append(obj)
     while True:
-        obj = tableau[m]  # _pivot rebinds rows, so re-read each round
-        col = next((j for j in range(allowed) if obj[j] < 0), None)
+        col = next((j for j in range(len(cost)) if obj[j] < 0), None)
         if col is None:
-            return
+            return tableau.pop()[-1]
         row = None
         best: Fraction | None = None
         for r in range(m):
@@ -57,18 +67,6 @@ def _run(tableau: list[list[Fraction]], basis: list[int], allowed: int) -> None:
         _pivot(tableau, basis, row, col)
 
 
-def _price_out(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> None:
-    """Install ``cost`` as the objective row, reduced against the current basis."""
-    m = len(tableau) - 1
-    width = len(tableau[0])
-    obj = list(cost) + [Fraction(0)] * (width - len(cost))
-    for r in range(m):
-        factor = obj[basis[r]]
-        if factor:
-            obj = [v - factor * p for v, p in zip(obj, tableau[r])]
-    tableau[m] = obj
-
-
 def solve_min(
     a: Sequence[Sequence[Fraction | int]],
     b: Sequence[Fraction | int],
@@ -77,31 +75,23 @@ def solve_min(
     """Return (optimal value, an optimal vertex) of min c.x, A x = b, x >= 0."""
     m = len(a)
     nv = len(c)
-    rows = [[Fraction(v) for v in row] for row in a]
-    rhs = [Fraction(v) for v in b]
-    for r in range(m):
-        if rhs[r] < 0:
-            rhs[r] = -rhs[r]
-            rows[r] = [-v for v in rows[r]]
-
-    # Tableau columns: nv structural, m artificial, rhs.  Artificials form
-    # the starting basis.
+    # Tableau columns: nv structural, m artificial, rhs; a row with negative
+    # rhs is negated.  Artificials form the starting basis.
     tableau: list[list[Fraction]] = []
-    for r in range(m):
+    for r, row in enumerate(a):
+        rhs = Fraction(b[r])
+        sign = -1 if rhs < 0 else 1
         art = [Fraction(0)] * m
         art[r] = Fraction(1)
-        tableau.append(rows[r] + art + [rhs[r]])
+        tableau.append([sign * Fraction(v) for v in row] + art + [sign * rhs])
     basis = [nv + r for r in range(m)]
-    tableau.append([Fraction(0)] * (nv + m + 1))
 
-    phase1 = [Fraction(0)] * nv + [Fraction(1)] * m
-    _price_out(tableau, basis, phase1)
-    _run(tableau, basis, nv + m)
-    if tableau[-1][-1] != 0:
+    if _optimize(tableau, basis, [0] * nv + [1] * m) != 0:
         raise Infeasible("equality constraints admit no nonnegative solution")
 
     # Drive leftover artificials out of the (degenerate) basis, dropping any
-    # row that turns out to be a redundant constraint.
+    # row that turns out to be a redundant constraint, then drop the
+    # artificial columns: none may enter again.
     for r in range(m - 1, -1, -1):
         if basis[r] < nv:
             continue
@@ -111,9 +101,9 @@ def solve_min(
             del basis[r]
         else:
             _pivot(tableau, basis, r, col)
+    tableau = [row[:nv] + row[-1:] for row in tableau]
 
-    _price_out(tableau, basis, [Fraction(v) for v in c])
-    _run(tableau, basis, nv)
+    _optimize(tableau, basis, c)
 
     solution = [Fraction(0)] * nv
     for r, var in enumerate(basis):

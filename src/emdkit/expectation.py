@@ -70,6 +70,9 @@ THRESHOLD_ENV_VAR = "EMDKIT_EXACT_THRESHOLD"
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
+#: Most Gauss-Legendre nodes generated; the Newton sweep costs O(nodes^2).
+DEFAULT_NODE_LIMIT = 2**15
+
 
 def exact_threshold() -> int:
     """The d*n ceiling of the exact path (env override: EMDKIT_EXACT_THRESHOLD)."""
@@ -176,12 +179,15 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1].
 
     Newton iteration on the Legendre recurrence from the standard cosine
-    initial guesses, run to 1e-15; symmetric to rounding.
+    initial guesses, run to 1e-15; symmetric to rounding.  At most
+    ``DEFAULT_NODE_LIMIT`` nodes.
     """
     import numpy as np
 
     if nodes < 1:
         raise DomainError(f"gauss_legendre needs at least one node, got {nodes}")
+    if nodes > DEFAULT_NODE_LIMIT:
+        raise BudgetExceeded(f"{nodes} quadrature nodes exceed limit {DEFAULT_NODE_LIMIT}")
     i = np.arange(nodes)
     x = np.cos(np.pi * (i + 0.75) / (nodes + 0.5))
     dp = np.ones_like(x)

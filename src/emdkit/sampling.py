@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .simplex import Distribution
 
 if TYPE_CHECKING:
@@ -28,6 +28,9 @@ if TYPE_CHECKING:
 __all__ = ["McEstimate", "sample_simplex", "mc_expected_emd"]
 
 _MASK64 = (1 << 64) - 1
+
+#: Most samples one Monte Carlo estimate draws.
+DEFAULT_SAMPLE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,7 @@ def mc_expected_emd(
     Deterministic given (n, d, samples, seed): identical bits regardless of
     ``workers``, which only splits the sample range into that many spans, run
     one after another in the calling thread (nothing runs in parallel).
+    At most ``DEFAULT_SAMPLE_LIMIT`` samples.
     """
     import numpy as np
 
@@ -84,6 +88,8 @@ def mc_expected_emd(
         raise DomainError(f"mc_expected_emd needs n >= 1 and d >= 2, got n={n}, d={d}")
     if samples < 2:
         raise DomainError(f"mc_expected_emd needs samples >= 2, got {samples}")
+    if samples > DEFAULT_SAMPLE_LIMIT:
+        raise BudgetExceeded(f"{samples} samples exceed limit {DEFAULT_SAMPLE_LIMIT}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 

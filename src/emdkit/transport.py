@@ -24,13 +24,18 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 from typing import Mapping
 
 from .cost import cost_deltas, cost_epsilon
-from .errors import BudgetExceeded, DimensionMismatch, InvariantViolation, MarginalMismatch
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    DomainError,
+    InvariantViolation,
+    MarginalMismatch,
+)
 from .exactlp import solve_min
 from .simplex import Distribution, DistTuple, Scalar, is_exact, sorted_columns
 
@@ -238,21 +243,24 @@ def lp_oracle_emd(xs: DistTuple, *, budget: int = 4096) -> Scalar:
     """Solve the transportation program outright with the exact simplex solver.
 
     Brute-force optimality oracle: one variable per site tuple, so the
-    instance must satisfy ``(n+1)^d <= budget``.  Inputs are taken to exact
-    rationals (floats convert losslessly), and the exact optimum is returned.
+    instance must satisfy ``(n+1)^d <= budget``.  Exact masses only: float
+    masses, read losslessly, rarely give every member the same rational
+    total, which leaves the program infeasible.  Returns the exact optimum.
     """
+    if not xs.exact:
+        raise DomainError("lp_oracle_emd takes exact masses only (int or Fraction)")
     n, d = xs.n, xs.d
     nvars = (n + 1) ** d
     if nvars > budget:
         raise BudgetExceeded(f"(n+1)^d = {nvars} variables exceed budget {budget}")
 
     keys = list(product(range(1, n + 2), repeat=d))
-    costs = [Fraction(cost_epsilon(y)) for y in keys]
+    costs = [cost_epsilon(y) for y in keys]
     # Row i*(n+1) + j-1 constrains member i's mass at site j, member-major.
-    a = [[Fraction(0)] * nvars for _ in range(d * (n + 1))]
+    a = [[0] * nvars for _ in range(d * (n + 1))]
     for k, y in enumerate(keys):
         for i, site in enumerate(y):
-            a[i * (n + 1) + site - 1][k] = Fraction(1)
-    b = [Fraction(m) for member in xs.members for m in member.mass]
+            a[i * (n + 1) + site - 1][k] = 1
+    b = [m for member in xs.members for m in member.mass]
     value, _ = solve_min(a, b, costs)
     return value

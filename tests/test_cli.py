@@ -9,6 +9,8 @@ Core claims:
       positive, each with exit code 1 and a message naming the culprit
     - non-UTF-8 files, JSON nested too deeply and JSON integers past the
       interpreter's digit limit are parse errors (exit 1), not tracebacks;
+      a decimal exponent beyond +-1000 is an invalid number (exit 1), refused
+      before any integer is built from it;
       arbitrary bytes, small JSON and small CSV documents always end in an
       exit code
     - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, and the
@@ -146,6 +148,40 @@ class TestDocumentParsing:
         assert code == 1
         assert doc is None
         assert culprit in err
+
+    @pytest.mark.parametrize("exponent", ["99999", "-99999", "999999999"])
+    @pytest.mark.parametrize(
+        "name, template",
+        [
+            ("bad.json", '{{"distributions": [[1e{e}, 0], [0, 1]]}}'),
+            ("bad.json", '{{"distributions": [["1e{e}", 0], [0, 1]]}}'),
+            ("bad.csv", "1e{e},0\n0,1\n"),
+        ],
+        ids=["json-number", "json-string", "csv-cell"],
+    )
+    def test_huge_exponents_are_invalid_numbers(
+        self, tmp_path, capsys, name, template, exponent
+    ):
+        path = tmp_path / name
+        path.write_text(template.format(e=exponent))
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert f"'1e{exponent}' has a decimal exponent beyond +-1000" in err
+
+    def test_json_exponent_beyond_decimal_range_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"distributions": [[1e99999999999999999999999, 0], [0, 1]]}')
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert "JSON number: cannot parse scalar" in err
+
+    def test_exponent_bound_is_inclusive(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(f"1e-1000,0.{'9' * 1000}\n0,1\n")
+        tiny = F(1, 10**1000)
+        assert load_document(str(path)).xs.members[0].mass == (tiny, 1 - tiny)
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -336,6 +372,20 @@ class TestExpectedCommand:
         code, _, _ = run_cli(capsys, "expected", "0", "2")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["--method", "mc", "--samples", "1000000000000"], "samples exceed limit"),
+            (["--method", "quadrature", "--nodes", "1000000000000"], "nodes exceed limit"),
+        ],
+        ids=["samples", "nodes"],
+    )
+    def test_work_budget_exit_code(self, capsys, argv, culprit):
+        code, doc, err = run_cli(capsys, "expected", "3", "4", *argv)
+        assert code == 2
+        assert doc is None
+        assert culprit in err
+
 
 class TestCostCommand:
     def test_reference_column(self, capsys):
@@ -355,6 +405,18 @@ class TestCostCommand:
     def test_single_value_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "cost", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["1e99999", "1e-99999", "1e999999999", "0e1001"])
+    def test_huge_exponent_rejected(self, capsys, value):
+        code, doc, err = run_cli(capsys, "cost", "0", value)
+        assert code == 1
+        assert doc is None
+        assert f"value 2: {value!r} has a decimal exponent beyond +-1000" in err
+
+    def test_largest_exponent_accepted(self, capsys):
+        code, doc, _ = run_cli(capsys, "cost", "1e-1000", "1e1000")
+        assert code == 0
+        assert doc["exact"]["cost"] == str(F(10**1000) - F(1, 10**1000))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])
     def test_non_finite_value_rejected(self, capsys, value):

@@ -1,5 +1,16 @@
-"""The exact simplex solver on hand-checked programs."""
+"""The exact simplex solver on hand-checked and seeded programs.
 
+Core claims:
+    - optimal values and vertices on small hand-checked programs, including
+      redundant rows, negative right-hand sides and a degenerate start
+    - infeasible and unbounded programs raise Infeasible / Unbounded
+    - the inputs a, b and c are left unchanged
+    - on seeded transportation programs the returned vertex is feasible and
+      its cost is the returned value
+"""
+
+import copy
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -69,3 +80,40 @@ def test_degenerate_vertex_handled():
     value, x = solve_min(a, b, c)
     assert value == 0
     assert x == [0, 0, 0]
+
+
+def test_inputs_left_unchanged():
+    a = [[-1, 0, 2], [0, F(1, 2), 1], [-1, F(1, 2), 3]]  # row 3 = row 1 + row 2
+    b = [F(-4), 1, F(-3)]
+    c = [2, 3, F(1, 3)]
+    before = copy.deepcopy((a, b, c))
+    solve_min(a, b, c)
+    assert (a, b, c) == before
+    assert [[type(v) for v in row] for row in a] == [[type(v) for v in row] for row in before[0]]
+
+
+def _transportation_program(rng):
+    """Supplies s_i to demands t_j on a grid: every program has a redundant row."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    units = rng.randint(0, 6)
+    supply, demand = [0] * rows, [0] * cols
+    for _ in range(units):  # zero masses are common
+        supply[rng.randrange(rows)] += 1
+        demand[rng.randrange(cols)] += 1
+    scale = rng.choice([1, 3, 7])
+    nv = rows * cols
+    a = [[int(k // cols == i) for k in range(nv)] for i in range(rows)]
+    a += [[int(k % cols == j) for k in range(nv)] for j in range(cols)]
+    b = [F(v, scale) for v in supply + demand]
+    c = [rng.randint(-3, 5) for _ in range(nv)]
+    return a, b, c
+
+
+def test_seeded_transportation_vertices_are_feasible():
+    rng = random.Random(9001)
+    for _ in range(50):
+        a, b, c = _transportation_program(rng)
+        value, x = solve_min(a, b, c)
+        assert all(v >= 0 for v in x)
+        assert [sum(ai * xi for ai, xi in zip(row, x)) for row in a] == b
+        assert sum(ci * xi for ci, xi in zip(c, x)) == value

@@ -34,7 +34,7 @@ from emdkit import (
     integrand,
     order_stat_cdf,
 )
-from emdkit.expectation import THRESHOLD_ENV_VAR
+from emdkit.expectation import DEFAULT_NODE_LIMIT, THRESHOLD_ENV_VAR
 
 
 def beta_cdf_oracle(n, j, z):
@@ -263,3 +263,9 @@ class TestGaussLegendre:
         x, w = gauss_legendre(40)
         assert np.all(w > 0)
         assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_node_budget_enforced(self):
+        with pytest.raises(BudgetExceeded):
+            gauss_legendre(DEFAULT_NODE_LIMIT + 1)
+        with pytest.raises(BudgetExceeded):
+            expected_emd_quadrature(3, 4, nodes=10**12)

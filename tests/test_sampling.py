@@ -4,7 +4,8 @@ Core claims:
     - sample_simplex returns valid distributions whose partial sums have the
       documented Beta marginals (means j/(n+1), CDF matching cdf_Fj)
     - mc_expected_emd is bit-reproducible, invariant under worker
-      partitioning, and lands within 3 standard errors of the exact value
+      partitioning, and lands within 3 standard errors of the exact value;
+      a sample count beyond DEFAULT_SAMPLE_LIMIT is refused up front
 """
 
 from math import sqrt
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 
 from emdkit import (
+    BudgetExceeded,
     DomainError,
     cdf_Fj,
     expected_emd_exact,
     mc_expected_emd,
     sample_simplex,
 )
+from emdkit.sampling import DEFAULT_SAMPLE_LIMIT
 
 
 def fresh_rng(seed=123):
@@ -111,3 +114,9 @@ class TestMcExpectedEmd:
     def test_one_sample_rejected(self):
         with pytest.raises(DomainError):
             mc_expected_emd(2, 2, 1, seed=0)
+
+    def test_sample_budget_enforced(self):
+        with pytest.raises(BudgetExceeded):
+            mc_expected_emd(3, 4, DEFAULT_SAMPLE_LIMIT + 1, seed=0)
+        with pytest.raises(BudgetExceeded):
+            mc_expected_emd(3, 4, 10**12, seed=0)

@@ -5,7 +5,7 @@ Core claims:
       exactly, on random rational tuples
     - greedy plans satisfy the marginal constraints and the d*n+1 sparsity
       bound; the sweep reproduces the greedy plan entry for entry
-    - the exact LP oracle confirms optimality
+    - the exact LP oracle confirms optimality, and refuses float tuples
     - the pairwise distance is a metric; a triple's EMD is half its pairwise
       sum; the general EMD dominates pairwise_sum/(d-1)
     - on float tuples with zero masses and repeated cut values, the sweep
@@ -22,6 +22,7 @@ import pytest
 from emdkit import (
     BudgetExceeded,
     DimensionMismatch,
+    DomainError,
     DistTuple,
     Distribution,
     MarginalMismatch,
@@ -278,6 +279,16 @@ class TestLpOracle:
         xs = random_rational_tuple(__import__("random").Random(1), 4, 4)
         with pytest.raises(BudgetExceeded):
             lp_oracle_emd(xs, budget=100)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [([0.1, 0.2, 0.7], [0.3, 0.3, 0.4]), ([0.5, 0.5], [0.25, 0.75])],
+        ids=["inexact-sums", "dyadic"],
+    )
+    def test_float_tuples_refused(self, rows):
+        xs = DistTuple(tuple(validate_distribution(row) for row in rows))
+        with pytest.raises(DomainError, match="exact masses only"):
+            lp_oracle_emd(xs)
 
     def test_matches_column_formula(self, rng):
         shapes = [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]
