@@ -9,7 +9,9 @@ JSON numbers, decimal strings, or rational strings "p/q"; every form parses
 to an exact rational (JSON floats are intercepted as text), so results print
 both as "p/q" strings and as decimals at a configurable precision.  A decimal
 whose exponent lies beyond +-MAX_DECIMAL_EXPONENT is refused before any
-integer is built from it.
+integer is built from it, and so is a value or a row total whose numerator
+or denominator passes MAX_EXACT_BITS.  A CSV first row is a header only if
+none of its cells is a number.
 
 Exit codes: 0 success, 1 parse/validation, 2 budget/threshold, 3 internal
 invariant violation.
@@ -22,6 +24,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
@@ -58,6 +61,16 @@ DEFAULT_DIGITS = 10
 #: 1e1001 and 1e-1001 are refused.
 MAX_DECIMAL_EXPONENT = 1000
 
+#: Most bits in the numerator or denominator of a value or a row total:
+#: 2**6644 passes 10**2000, so about 2,000 decimal digits, well below the
+#: 4,300-digit limit of int-to-str conversion.
+MAX_EXACT_BITS = 6644
+
+_DIGITS = r"\d(?:_?\d)*"
+#: Decimal syntax with an exponent, which Decimal refuses only for range;
+#: compiled on first use, since only a refused decimal needs it.
+_EXPONENT_FORM = rf"[+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})[eE][+-]?{_DIGITS}"
+
 
 @dataclass(frozen=True)
 class TupleDocument:
@@ -69,9 +82,15 @@ class TupleDocument:
 
 def _bounded_decimal(value: str, where: str) -> Decimal:
     """Parse a decimal, refusing an exponent beyond +-MAX_DECIMAL_EXPONENT."""
+    text = value.strip()
     try:
-        number = Decimal(value.strip())
-    except InvalidOperation as exc:  # also an exponent beyond Decimal's own range
+        number = Decimal(text)
+    except InvalidOperation as exc:
+        if re.fullmatch(_EXPONENT_FORM, text):  # an exponent beyond Decimal's own range
+            raise InvalidNumber(
+                f"{where}: cannot parse scalar {value!r}: its decimal exponent "
+                f"is beyond +-{MAX_DECIMAL_EXPONENT}"
+            ) from exc
         raise ParseError(f"{where}: cannot parse scalar {value!r}") from exc
     if number.is_finite() and abs(number.adjusted()) > MAX_DECIMAL_EXPONENT:
         raise InvalidNumber(
@@ -80,29 +99,38 @@ def _bounded_decimal(value: str, where: str) -> Decimal:
     return number
 
 
+def _bounded_size(number: Fraction, where: str, what: str) -> Fraction:
+    """Refuse ``number`` when its numerator or denominator passes MAX_EXACT_BITS."""
+    if max(number.numerator.bit_length(), number.denominator.bit_length()) > MAX_EXACT_BITS:
+        raise InvalidNumber(
+            f"{where}: {what} has a numerator or denominator beyond "
+            f"{MAX_EXACT_BITS} bits (about 2,000 digits)"
+        )
+    return number
+
+
 def _parse_scalar(value: object, where: str) -> Fraction:
     if isinstance(value, bool):
         raise InvalidNumber(f"{where}: {value!r} is a bool, not a number")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):  # JSON NaN / Infinity; other JSON numbers are Fractions
         raise InvalidNumber(f"{where}: {value!r} is not finite")
-    if isinstance(value, str):
+    if isinstance(value, (int, Fraction)):
+        fraction = Fraction(value)
+    elif isinstance(value, str):
         text = value.strip()
         # A decimal's exponent is bounded before Fraction builds 10**exponent.
         number = None if "/" in text else _bounded_decimal(value, where)
         try:
-            return Fraction(text)
+            fraction = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            pass
-        if number is None:
-            raise ParseError(f"{where}: cannot parse scalar {value!r}")
-        if not number.is_finite():
-            raise InvalidNumber(f"{where}: {value!r} is not finite")
-        return Fraction(number)
-    raise ParseError(f"{where}: cannot parse scalar {value!r}")
+            if number is None:
+                raise ParseError(f"{where}: cannot parse scalar {value!r}") from None
+            if not number.is_finite():
+                raise InvalidNumber(f"{where}: {value!r} is not finite") from None
+            fraction = Fraction(number)
+    else:
+        raise ParseError(f"{where}: cannot parse scalar {value!r}")
+    return _bounded_size(fraction, where, "a value")
 
 
 def _document_from_rows(rows: list[list[Fraction]], n: Optional[int]) -> TupleDocument:
@@ -115,6 +143,7 @@ def _document_from_rows(rows: list[list[Fraction]], n: Optional[int]) -> TupleDo
                 )
     members = []
     for k, row in enumerate(rows):
+        _bounded_size(sum(row), f"distribution {k + 1}", "the sum of its masses")
         try:
             members.append(validate_distribution(row))
         except EmdError as exc:
@@ -164,13 +193,16 @@ def _parse_csv_document(text: str) -> TupleDocument:
     def parse_row(cells: list[str], k: int) -> list[Fraction]:
         return [_parse_scalar(cell, f"distribution {k + 1}") for cell in cells]
 
-    try:
-        _ = parse_row(raw_rows[0], 0)
-        header = 0
-    except ParseError:
-        header = 1  # first row is not numeric: treat as header
-        if len(raw_rows) == 1:
-            raise ParseError("CSV document has a header but no data rows") from None
+    def is_number(cell: str) -> bool:  # InvalidNumber propagates: it is a number
+        try:
+            _parse_scalar(cell, "distribution 1")
+        except ParseError:
+            return False
+        return True
+
+    header = 0 if any(map(is_number, raw_rows[0])) else 1
+    if header and len(raw_rows) == 1:
+        raise ParseError("CSV document has a header but no data rows")
     rows = [parse_row(row, k) for k, row in enumerate(raw_rows[header:])]
     return _document_from_rows(rows, None)
 

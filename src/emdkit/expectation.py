@@ -10,11 +10,23 @@ over [0, 1] of the degree <= d*n polynomial
 
     sum_{j=1}^{n} sum_{k=1}^{d-1} wt(k) C(d,k) F_j(z)^k (1 - F_j(z))^(d-k),
 
-with the Lee weight wt(k) = min(k, d-k).  Three evaluation routes:
+with the Lee weight wt(k) = min(k, d-k).  ``integrand`` builds exactly this
+polynomial: the inner sum over k is the weight polynomial phi_d(u), composed
+with each F_j.  It is the statement of the result and the desk-scale
+cross-check.  Three evaluation routes:
 
-* ``expected_emd_exact``       -- expand the integrand over exact rationals
-  and integrate term by term; refused above a degree threshold where
-  big-integer coefficient growth dominates (``EMDKIT_EXACT_THRESHOLD``).
+* ``expected_emd_exact``       -- the same integral as an exact rational, on
+  non-negative integers only.  1 - F_j(z) = P(Bin(n, z) < j)
+  = (1-z)^n L_j(z/(1-z)) with L_j(t) = sum_{a<j} C(n,a) t^a, so with
+  phi_d(u) = sum_m beta_m (1-u)^m (integer beta_m),
+
+      int_0^1 (1 - F_j)^m dz = sum_s [t^s] L_j(t)^m s! (mn-s)! / (mn+1)!.
+
+  The powers L_j^m are Kronecker-packed ints, updated from column to column
+  by shifted small-integer scalings; columns j and n+1-j have equal
+  integrals (phi_d(u) = phi_d(1-u) and X_{n+1-j} ~ 1 - X_j), so only
+  j <= ceil(n/2) is expanded.  Refused above a d*n threshold, set where the
+  worst shape takes about a second (``EMDKIT_EXACT_THRESHOLD``).
 * ``expected_emd_quadrature``  -- Gauss-Legendre with enough nodes to
   integrate the polynomial exactly, evaluating F_j through the regularized
   incomplete beta function for float stability at large d.
@@ -27,9 +39,6 @@ with the Lee weight wt(k) = min(k, d-k).  Three evaluation routes:
   with E(0,..,0) = 0, where C is the dispersion cost of the integer tuple.
   Memoized on the sorted tuple; exponentially many states, so desk scale
   only.
-
-The inner sum over k is expanded once as a weight polynomial phi_d(u) and
-composed with each F_j, which reuses the expensive part across j.
 """
 
 from __future__ import annotations
@@ -37,7 +46,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cost import cost_epsilon, lee_weight
@@ -65,7 +76,7 @@ __all__ = [
     "gauss_legendre",
 ]
 
-DEFAULT_EXACT_THRESHOLD = 600
+DEFAULT_EXACT_THRESHOLD = 1500
 THRESHOLD_ENV_VAR = "EMDKIT_EXACT_THRESHOLD"
 
 DEFAULT_STATE_LIMIT = 1_000_000
@@ -159,8 +170,88 @@ def integrand(n: int, d: int) -> RationalPolynomial:
     return total
 
 
+def _complement_weights(d: int) -> list[int]:
+    """Integers beta_m with phi_d(u) = sum_m beta_m (1 - u)^m, for m = 0..d."""
+    beta = [0] * (d + 1)
+    for k in range(1, d):
+        # u^k (1-u)^(d-k) = (1-v)^k v^(d-k) with v = 1 - u
+        scale = lee_weight(k, d) * comb(d, k)
+        for i in range(k + 1):
+            beta[d - k + i] += (-1) ** i * scale * comb(k, i)
+    return beta
+
+
+def _tail_power_sums(n: int, powers: Sequence[int]) -> tuple[dict[int, int], int]:
+    """Packed S_m = sum_j L_j^m over all n columns, for each m in ``powers``.
+
+    L_j(t) = sum_{a<j} C(n,a) t^a, so that 1 - F_j(z) = (1-z)^n L_j(z/(1-z)).
+    Columns j and n+1-j have equal integrals, so only j <= ceil(n/2) is
+    expanded: each counted twice, the middle one of an odd n once.  A
+    polynomial is packed into one int with coefficient s in byte slot s.
+    Every coefficient of L_j^m is at most L_j(1)^m, and S_m adds at most
+    n + 1 of them, so ``(n+1) * L_last(1)^M`` bounds every slot and the
+    packing is exact.  Returns the sums and the slot size in bytes.
+    """
+    top = max(powers)
+    last = (n + 1) // 2
+    row = [comb(n, a) for a in range(last)]
+    slot = (((n + 1) * sum(row) ** top).bit_length() + 7) // 8
+    width = 8 * slot
+    pows = [1] * (top + 1)  # L_1^m = 1
+    sums = dict.fromkeys(powers, 0)
+    for j in range(1, last + 1):
+        if j > 1:
+            c, shift = row[j - 1], (j - 1) * width
+            if 2 * j <= top:
+                # top - 1 products by L_j, each j shifted small scalings
+                pows = [1, pows[1] + (c << shift)]
+                for _ in range(2, top + 1):
+                    prev = pows[-1]
+                    acc = c * prev
+                    for a in range(j - 2, -1, -1):
+                        acc = (acc << width) + row[a] * prev
+                    pows.append(acc)
+            else:
+                # binomial theorem on L_j = L_{j-1} + c t^(j-1), in about
+                # top^2 / 2 Pascal steps; after step r, pows[r] holds L_j^r
+                for r in range(1, top + 1):
+                    for m in range(top, r - 1, -1):
+                        pows[m] += (c * pows[m - 1]) << shift
+        for m in powers:
+            sums[m] += pows[m]
+    for m in powers:  # the mirrored columns; an odd n's middle one is its own mirror
+        sums[m] = 2 * sums[m] - (pows[m] if n % 2 else 0)
+    return sums, slot
+
+
+def _integral_exact(n: int, d: int) -> Fraction:
+    """The integral of ``integrand(n, d)`` over [0, 1], on non-negative integers.
+
+    With phi_d(u) = sum_m beta_m (1-u)^m and the packed S_m above,
+    int_0^1 (1-F_j)^m dz = sum_s [t^s] L_j^m s! (mn-s)! / (mn+1)!; every
+    term goes over the common denominator (Mn+1)!, M the largest power used.
+    """
+    beta = _complement_weights(d)
+    powers = [m for m, b in enumerate(beta) if b]
+    sums, slot = _tail_power_sums(n, powers)
+    last = max(powers) * n + 1
+    fact = list(accumulate(range(1, last + 1), mul, initial=1))
+    numerator = 0
+    for m in powers:
+        packed, mn = sums[m], m * n
+        deg = (packed.bit_length() - 1) // (8 * slot)
+        raw = packed.to_bytes((deg + 1) * slot, "little")
+        # sum_s c_s s! (mn-s)! = (mn-deg)! * Horner over the factors mn-s+1
+        acc = 0
+        for s in range(deg + 1):
+            coeff = int.from_bytes(raw[s * slot : (s + 1) * slot], "little")
+            acc = acc * (mn - s + 1) + coeff * fact[s]
+        numerator += beta[m] * acc * fact[mn - deg] * (fact[last] // fact[mn + 1])
+    return Fraction(numerator, fact[last])
+
+
 def expected_emd_exact(n: int, d: int) -> ExpectationResult:
-    """Expected EMD as an exact rational, by term-wise polynomial integration.
+    """Expected EMD as an exact rational, by the integral on packed integers.
 
     Refuses with :class:`ThresholdExceeded` when d*n exceeds the exact-path
     threshold; callers should fall back to ``expected_emd_quadrature``.
@@ -171,8 +262,9 @@ def expected_emd_exact(n: int, d: int) -> ExpectationResult:
             f"d*n = {d * n} exceeds the exact-path threshold {threshold}; "
             f"use the quadrature path"
         )
-    value = integrand(n, d).integral_01()
-    return ExpectationResult(n=n, d=d, value=value, method="exact-integral")
+    if n < 1 or d < 2:
+        raise DomainError(f"expected_emd_exact needs n >= 1 and d >= 2, got n={n}, d={d}")
+    return ExpectationResult(n=n, d=d, value=_integral_exact(n, d), method="exact-integral")
 
 
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:

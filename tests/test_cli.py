@@ -10,7 +10,9 @@ Core claims:
     - non-UTF-8 files, JSON nested too deeply and JSON integers past the
       interpreter's digit limit are parse errors (exit 1), not tracebacks;
       a decimal exponent beyond +-1000 is an invalid number (exit 1), refused
-      before any integer is built from it;
+      before any integer is built from it, wherever the number sits; so is a
+      value or a row total with more than about 2,000 digits;
+      a CSV first row is a header only if none of its cells is a number;
       arbitrary bytes, small JSON and small CSV documents always end in an
       exit code
     - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, and the
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 import emdkit
 
+from emdkit import InvalidNumber
 from emdkit.cli import build_parser, decimal_str, load_document, main
 
 DATA = Path(__file__).parent / "data"
@@ -176,6 +179,72 @@ class TestDocumentParsing:
         assert code == 1
         assert doc is None
         assert "JSON number: cannot parse scalar" in err
+
+    def test_out_of_range_exponent_in_first_csv_row_is_not_a_header(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1e99999999999999999999999,0\n0,1\n1,0\n")
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert "distribution 1: cannot parse scalar '1e99999999999999999999999'" in err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("bad.json", '{"distributions": [[1e99999999999999999999999, 0], [0, 1]]}'),
+            ("bad.json", '{"distributions": [[0, 1], [1, "-1E-99999999999999999999"]]}'),
+            ("bad.csv", "0,1\n1,.5e+99_999_999_999_999_999_999\n"),
+        ],
+        ids=["json-number", "json-string", "csv-cell"],
+    )
+    def test_out_of_range_exponent_is_invalid_number(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(InvalidNumber, match="decimal exponent is beyond"):
+            load_document(str(path))
+
+    def test_first_row_with_a_number_is_not_a_header(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("mass,0.5\n0.5,0.5\n1,0\n")
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert "distribution 1: cannot parse scalar 'mass'" in err
+
+    @pytest.mark.parametrize(
+        "rows, culprit",
+        [
+            (
+                [[f"1/{10**999 + k}" for k in (1, 3, 7, 9, 11)], [1, 0, 0, 0, 0]],
+                "distribution 1: the sum of its masses has a numerator or denominator",
+            ),
+            (
+                [[1, 0], ["0." + "3" * 5000, "0." + "6" * 4999 + "7"]],
+                "distribution 2: a value has a numerator or denominator",
+            ),
+        ],
+        ids=["long-row-total", "long-decimals"],
+    )
+    def test_values_past_the_digit_bound_are_invalid_numbers(
+        self, tmp_path, capsys, rows, culprit
+    ):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"distributions": rows}))
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert culprit in err
+        assert "beyond 6644 bits" in err
+
+    def test_digit_bound_edges(self, tmp_path):
+        q = 10**2000  # 6644 bits: accepted
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"distributions": [[f"1/{q}", f"{q - 1}/{q}"], [1, 0]]}))
+        assert load_document(str(path)).xs.members[0].mass == (F(1, q), 1 - F(1, q))
+        q *= 10  # 6647 bits: refused
+        path.write_text(json.dumps({"distributions": [[f"1/{q}", f"{q - 1}/{q}"], [1, 0]]}))
+        with pytest.raises(InvalidNumber, match="distribution 1: a value"):
+            load_document(str(path))
 
     def test_exponent_bound_is_inclusive(self, tmp_path):
         path = tmp_path / "edge.csv"
@@ -359,7 +428,7 @@ class TestExpectedCommand:
         assert abs(float(doc["decimal"]["value"]) - 1 / 3) < 0.05
 
     def test_threshold_exceeded_exit_code(self, capsys):
-        code, doc, err = run_cli(capsys, "expected", "7", "100", "--method", "exact")
+        code, doc, err = run_cli(capsys, "expected", "7", "215", "--method", "exact")
         assert code == 2
         assert doc is None
         assert "quadrature" in err

@@ -8,13 +8,16 @@ Core claims:
       d * j / (n+1)
     - the integrand vanishes at both endpoints and integrates to the same
       exact rational the independent recursion produces
+    - the exact path's packed-integer route gives the literal integral of
+      the integrand bit for bit, forms no polynomial product, and agrees
+      with quadrature beyond the old d*n = 600 threshold
     - the quadrature path agrees with the exact path to 1e-9 relative
     - thresholds, budgets, and node minimums are enforced
 """
 
 import os
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -34,7 +37,8 @@ from emdkit import (
     integrand,
     order_stat_cdf,
 )
-from emdkit.expectation import DEFAULT_NODE_LIMIT, THRESHOLD_ENV_VAR
+from emdkit.expectation import DEFAULT_NODE_LIMIT, THRESHOLD_ENV_VAR, _phi
+from emdkit.polynomial import RationalPolynomial
 
 
 def beta_cdf_oracle(n, j, z):
@@ -153,7 +157,7 @@ class TestExactPath:
 
     def test_threshold_enforced(self):
         with pytest.raises(ThresholdExceeded):
-            expected_emd_exact(7, 100)
+            expected_emd_exact(7, 215)
 
     def test_threshold_env_override(self):
         os.environ[THRESHOLD_ENV_VAR] = "10"
@@ -183,6 +187,92 @@ class TestExactPath:
                 res = expected_emd_exact(n, d)
                 assert 0 <= res.normalized <= 1
                 assert res.normalized == res.value / (n * (d // 2))
+
+
+def beta_fn(p, q):
+    return F(factorial(p - 1) * factorial(q - 1), factorial(p + q - 1))
+
+
+def pair_closed_form(n):
+    """E[EMD] for d = 2: the sum over j of the Beta(j, n-j+1) mean difference.
+
+    For iid Beta(a, b), E|X - Y| = 4 B(a+b, a+b) / ((a+b) B(a,a) B(b,b)).
+    """
+    return sum(
+        F(4, n + 1) * beta_fn(n + 1, n + 1) / (beta_fn(j, j) * beta_fn(n + 1 - j, n + 1 - j))
+        for j in range(1, n + 1)
+    )
+
+
+class TestPackedIntegerRoute:
+    """``expected_emd_exact`` against the literal integral of ``integrand``."""
+
+    @staticmethod
+    def assert_literal(n, d):
+        value = expected_emd_exact(n, d).value
+        assert type(value) is F
+        assert value == integrand(n, d).integral_01(), (n, d)
+
+    def test_grid_matches_literal_integral(self):
+        for n in range(1, 11):
+            for d in range(2, 11):
+                self.assert_literal(n, d)
+
+    @pytest.mark.parametrize("n, d", [(22, 9), (14, 14), (16, 12), (30, 20)])
+    def test_workload_shapes_match_literal_integral(self, n, d):
+        self.assert_literal(n, d)
+
+    def test_odd_and_even_n(self):
+        # an odd n has a middle column that is its own mirror
+        for n in range(11, 17):
+            self.assert_literal(n, 5)
+            self.assert_literal(n, 6)
+
+    def test_mirrored_columns_have_equal_integrals(self):
+        for n, d in [(5, 3), (6, 4), (7, 5)]:
+            phi = _phi(d)
+            for j in range(1, n + 1):
+                left = phi.compose(cdf_Fj(n, j)).integral_01()
+                assert left == phi.compose(cdf_Fj(n, n + 1 - j)).integral_01()
+
+    def test_tight_packing_single_site(self):
+        # n = 1: every slot holds a coefficient of 1 in a one-byte slot
+        for d in range(2, 41):
+            self.assert_literal(1, d)
+            assert expected_emd_exact(1, d).value == F(
+                sum(min(k, d - k) for k in range(1, d)), d + 1
+            )
+
+    def test_tight_packing_pairs(self):
+        # d = 2: the largest n the threshold allows here fills the widest slots
+        for n in range(1, 201):
+            assert expected_emd_exact(n, 2).value == pair_closed_form(n), n
+        for n in (40, 41, 64):
+            self.assert_literal(n, 2)
+
+    def test_tight_packing_many_members(self):
+        self.assert_literal(3, 60)
+
+    @pytest.mark.parametrize("n, d", [(100, 8), (40, 20)])
+    def test_beyond_old_threshold_agrees_with_quadrature(self, n, d):
+        assert n * d > 600
+        exact = float(expected_emd_exact(n, d).value)
+        assert abs(expected_emd_quadrature(n, d).value - exact) / exact <= 1e-12
+
+    def test_no_polynomial_products(self, monkeypatch):
+        calls = []
+        for name in ("__mul__", "compose"):
+            original = getattr(RationalPolynomial, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(RationalPolynomial, name, counted)
+        expected_emd_exact(22, 9)
+        assert calls == []
+        integrand(2, 2)  # the wrappers do count
+        assert calls
 
 
 class TestRecursion:
