@@ -11,10 +11,12 @@ both as "p/q" strings and as decimals at a configurable precision.  A decimal
 whose exponent lies beyond +-MAX_DECIMAL_EXPONENT is refused before any
 integer is built from it, and so is a value or a row total whose numerator
 or denominator passes MAX_EXACT_BITS.  A CSV first row is a header only if
-none of its cells is a number.
+none of its cells is a number.  A result too long to print (a numerator or
+denominator beyond MAX_RENDER_BITS) is refused as over budget.
 
-Exit codes: 0 success, 1 parse/validation, 2 budget/threshold, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 parse/validation, 2 budget/threshold (including a
+result too long to render), 3 internal invariant violation or a failed
+selftest.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ MAX_DECIMAL_EXPONENT = 1000
 #: 2**6644 passes 10**2000, so about 2,000 decimal digits, well below the
 #: 4,300-digit limit of int-to-str conversion.
 MAX_EXACT_BITS = 6644
+
+#: Most bits in the numerator or denominator of a rendered exact result:
+#: 2**14284 < 10**4300, so it stays within int-to-str's 4,300-digit limit.
+#: A result's denominator can grow to the product of every row's.
+MAX_RENDER_BITS = 14284
 
 _DIGITS = r"\d(?:_?\d)*"
 #: Decimal syntax with an exponent, which Decimal refuses only for range;
@@ -228,8 +235,15 @@ def load_document(path: str) -> TupleDocument:
 # -- rendering -------------------------------------------------------------
 
 
-def exact_str(value) -> str:
-    return str(Fraction(value))
+def exact_str(value, field: str) -> str:
+    """``value`` as "p/q"; BudgetExceeded naming ``field`` when too long to render."""
+    frac = Fraction(value)
+    if max(frac.numerator.bit_length(), frac.denominator.bit_length()) > MAX_RENDER_BITS:
+        raise BudgetExceeded(
+            f"{field}: the exact result has a numerator or denominator beyond "
+            f"{MAX_RENDER_BITS} bits (about 4,300 digits), too long to render"
+        )
+    return str(frac)
 
 
 def decimal_str(value, digits: int) -> str:
@@ -245,9 +259,10 @@ def _plan_block(plan, digits: int) -> dict:
     objective = plan_objective(plan)
     return {
         "entries": [
-            {"y": list(y), "mass": exact_str(mass)} for y, mass in plan.sorted_entries()
+            {"y": list(y), "mass": exact_str(mass, f"plan.entries[{k}].mass")}
+            for k, (y, mass) in enumerate(plan.sorted_entries())
         ],
-        "objective": exact_str(objective),
+        "objective": exact_str(objective, "plan.objective"),
         "objective_decimal": decimal_str(objective, digits),
         "entry_count": len(plan.entries),
         "sparsity_bound": plan.d * plan.n + 1,
@@ -266,8 +281,8 @@ def _cmd_emd(args: argparse.Namespace) -> dict:
         "command": "emd",
         "input": {"n": xs.n, "d": xs.d, "digest": doc.digest},
         "exact": {
-            "emd": exact_str(total),
-            "columns": [exact_str(c) for c in columns],
+            "emd": exact_str(total, "exact.emd"),
+            "columns": [exact_str(c, f"exact.columns[{j}]") for j, c in enumerate(columns)],
         },
         "decimal": {
             "emd": decimal_str(total, args.digits),
@@ -282,8 +297,8 @@ def _cmd_emd(args: argparse.Namespace) -> dict:
         if args.barycenter:
             center = barycenter(xs, plan)
             result["barycenter"] = {
-                "mass": [exact_str(m) for m in center.mass],
-                "cost": exact_str(plan_objective(plan)),
+                "mass": [exact_str(m, f"barycenter.mass[{k}]") for k, m in enumerate(center.mass)],
+                "cost": exact_str(plan_objective(plan), "barycenter.cost"),
             }
     return result
 
@@ -298,7 +313,7 @@ def _cmd_plan(args: argparse.Namespace) -> dict:
         "input": {"n": xs.n, "d": xs.d, "digest": doc.digest},
         "plan": _plan_block(plan, args.digits),
         "breakpoints": {
-            "cuts": [exact_str(c) for c in sweep.cuts],
+            "cuts": [exact_str(c, f"breakpoints.cuts[{k}]") for k, c in enumerate(sweep.cuts)],
             "labels": [list(label) for label in sweep.labels],
         },
     }
@@ -313,14 +328,18 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         "command": "decompose",
         "input": {"n": xs.n, "d": xs.d, "digest": doc.digest},
         "exact": {
-            "g_coefficients": {str(w): exact_str(c) for w, c in sorted(report.g.coeffs.items())},
-            "g_prime": exact_str(report.emd),
-            "g_double_prime": exact_str(report.obstruction),
-            "emd": exact_str(report.emd),
-            "pairwise": {
-                f"{k},{l}": exact_str(v) for (k, l), v in sorted(report.pairwise.items())
+            "g_coefficients": {
+                str(w): exact_str(c, f"exact.g_coefficients.{w}")
+                for w, c in sorted(report.g.coeffs.items())
             },
-            "pairwise_sum": exact_str(report.pairwise_sum),
+            "g_prime": exact_str(report.emd, "exact.g_prime"),
+            "g_double_prime": exact_str(report.obstruction, "exact.g_double_prime"),
+            "emd": exact_str(report.emd, "exact.emd"),
+            "pairwise": {
+                f"{k},{l}": exact_str(v, f"exact.pairwise.{k},{l}")
+                for (k, l), v in sorted(report.pairwise.items())
+            },
+            "pairwise_sum": exact_str(report.pairwise_sum, "exact.pairwise_sum"),
         },
         "decimal": {
             "emd": decimal_str(report.emd, digits),
@@ -360,9 +379,9 @@ def _cmd_expected(args: argparse.Namespace) -> dict:
         }
 
     if isinstance(res.value, Fraction):
-        exact_block = {"value": exact_str(res.value)}
+        exact_block = {"value": exact_str(res.value, "exact.value")}
         if args.normalized:
-            exact_block["normalized"] = exact_str(res.normalized)
+            exact_block["normalized"] = exact_str(res.normalized, "exact.normalized")
         result["exact"] = exact_block
     decimal_block = {"value": decimal_str(res.value, digits)}
     if args.normalized:
@@ -383,12 +402,12 @@ def _cmd_cost(args: argparse.Namespace) -> dict:
         )
     result = {
         "command": "cost",
-        "values": [exact_str(v) for v in values],
-        "exact": {"cost": exact_str(signed)},
+        "values": [exact_str(v, f"values[{k}]") for k, v in enumerate(values)],
+        "exact": {"cost": exact_str(signed, "exact.cost")},
         "decimal": {"cost": decimal_str(signed, args.digits)},
         "forms": {
-            "signed_order_sum": exact_str(signed),
-            "weighted_gap_sum": exact_str(gaps),
+            "signed_order_sum": exact_str(signed, "forms.signed_order_sum"),
+            "weighted_gap_sum": exact_str(gaps, "forms.weighted_gap_sum"),
         },
     }
     if args.sites is not None:
@@ -400,7 +419,7 @@ def _cmd_cost(args: argparse.Namespace) -> dict:
             raise InvariantViolation(
                 f"site-counting form {counted} disagrees with {signed}"
             )
-        result["forms"]["site_counting"] = exact_str(counted)
+        result["forms"]["site_counting"] = exact_str(counted, "forms.site_counting")
     return result
 
 
@@ -517,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(json.dumps(result, indent=2))
     if result.get("command") == "selftest" and not result["passed"]:
-        return 1
+        return 3
     return 0
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import mul
@@ -267,12 +268,14 @@ def expected_emd_exact(n: int, d: int) -> ExpectationResult:
     return ExpectationResult(n=n, d=d, value=_integral_exact(n, d), method="exact-integral")
 
 
+@lru_cache(maxsize=8)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1].
+    """Gauss-Legendre nodes and weights on [-1, 1], as read-only arrays.
 
     Newton iteration on the Legendre recurrence from the standard cosine
     initial guesses, run to 1e-15; symmetric to rounding.  At most
-    ``DEFAULT_NODE_LIMIT`` nodes.
+    ``DEFAULT_NODE_LIMIT`` nodes.  The last few node counts asked for are
+    cached, which is why the arrays cannot be written to.
     """
     import numpy as np
 
@@ -294,6 +297,8 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(step)) < 1e-15:
             break
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

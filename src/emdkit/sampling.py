@@ -6,11 +6,18 @@ Conveniently, the cumulative vector of such a point is the sorted uniforms
 themselves, so a tuple's EMD reduces to sorting columns and Lee-weighting
 the gaps.
 
-Every Monte Carlo sample draws from its own counter-based substream keyed by
-(seed, sample index), so partitioning the sample range into spans cannot
-change any result: the per-sample value array is identical however the range
-is split, and the reduction runs over that array in one fixed order.  The
-spans run one after another in this process; nothing runs in parallel.
+Monte Carlo draws its samples a block at a time.  Block b of a run takes
+the counter-based Philox substream keyed by (seed, b) (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011) and fills one
+(count, d, n) array of uniforms from it in one call; a short last block
+draws a prefix of its stream.  Sorting along sites gives every member's
+cumulative vector, sorting along members gives the order statistics of every
+column, and the Lee-weighted gaps sum to each sample's EMD.  ``workers``
+spans are cut on block boundaries, so the per-sample value array is
+identical however the range is split, and the reduction runs over that
+array in one fixed order.  The spans run one after another in this process;
+nothing runs in parallel.  Values differ from releases that keyed one
+substream per sample.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ if TYPE_CHECKING:
 __all__ = ["McEstimate", "sample_simplex", "mc_expected_emd"]
 
 _MASK64 = (1 << 64) - 1
+
+#: Uniforms one Monte Carlo block draws (512 KB of float64); a block holds
+#: max(1, _BLOCK_UNIFORMS // (d*n)) samples.
+_BLOCK_UNIFORMS = 2**16
 
 #: Most samples one Monte Carlo estimate draws.
 DEFAULT_SAMPLE_LIMIT = 10**6
@@ -58,18 +69,15 @@ def sample_simplex(n: int, rng: np.random.Generator) -> Distribution:
     return Distribution(tuple(float(v) for v in mass))
 
 
-def _chunk_emds(n: int, d: int, seed: int, start: int, stop: int, wt: np.ndarray) -> np.ndarray:
+def _block_emds(n: int, d: int, seed: int, block: int, count: int, wt: np.ndarray) -> np.ndarray:
+    """EMDs of the ``count`` samples of one block, from its (seed, block) substream."""
     import numpy as np
 
-    out = np.empty(stop - start, dtype=np.float64)
-    for s in range(start, stop):
-        key = ((seed & _MASK64) << 64) | (s & _MASK64)  # the (seed, sample) substream
-        rng = np.random.Generator(np.random.Philox(key=key))
-        u = rng.random((d, n))
-        u.sort(axis=1)  # row i is now the cumulative vector of member i
-        columns = np.sort(u, axis=0)
-        out[s - start] = float(np.sum(np.diff(columns, axis=0) * wt[:, None]))
-    return out
+    key = ((seed & _MASK64) << 64) | (block & _MASK64)
+    u = np.random.Generator(np.random.Philox(key=key)).random((count, d, n))
+    u.sort(axis=2)  # u[s, i] is now the cumulative vector of member i of sample s
+    u.sort(axis=1)  # u[s, :, j] is now the sorted column j of sample s
+    return (np.diff(u, axis=1) * wt[:, None]).sum(axis=(1, 2))
 
 
 def mc_expected_emd(
@@ -78,8 +86,9 @@ def mc_expected_emd(
     """Mean and standard error of the EMD over independent uniform d-tuples.
 
     Deterministic given (n, d, samples, seed): identical bits regardless of
-    ``workers``, which only splits the sample range into that many spans, run
-    one after another in the calling thread (nothing runs in parallel).
+    ``workers``, which only splits the run's blocks into that many spans, cut
+    on block boundaries and run one after another in the calling thread
+    (nothing runs in parallel).
     At most ``DEFAULT_SAMPLE_LIMIT`` samples.
     """
     import numpy as np
@@ -96,9 +105,15 @@ def mc_expected_emd(
     k = np.arange(1, d, dtype=np.float64)
     wt = np.minimum(k, d - k)
 
-    bounds = [round(samples * w / workers) for w in range(workers + 1)]
+    size = max(1, _BLOCK_UNIFORMS // (d * n))
+    blocks = -(-samples // size)
+    bounds = [round(blocks * w / workers) for w in range(workers + 1)]
     values = np.concatenate(
-        [_chunk_emds(n, d, seed, lo, hi, wt) for lo, hi in zip(bounds, bounds[1:])]
+        [
+            _block_emds(n, d, seed, b, min(size, samples - b * size), wt)
+            for lo, hi in zip(bounds, bounds[1:])
+            for b in range(lo, hi)
+        ]
     )
 
     mean = float(np.mean(values))

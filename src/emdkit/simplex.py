@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import isfinite
+from math import isfinite, log10
 from typing import Sequence, Union
 
 from .errors import (
@@ -63,6 +63,10 @@ FLOAT_SUM_TOL = 1e-12
 # Looser guard applied after renormalization / float-path construction.
 _FLOAT_GUARD = 1e-9
 
+#: Longest numerator or denominator, in bits, that a message spells out in
+#: full; int-to-str refuses integers beyond 4,300 digits.
+_MESSAGE_BITS = 256
+
 
 def is_exact(values: Sequence[Scalar]) -> bool:
     """True when no float appears, i.e. the exact rational backend applies."""
@@ -77,6 +81,19 @@ def _check_mass(k: int, m: Scalar) -> None:
         raise InvalidNumber(f"mass at site {k + 1} is not finite: {m!r}")
     if m < 0:
         raise NegativeMass(f"mass at site {k + 1} is negative: {m!r}")
+
+
+def _sum_text(total: Union[int, Fraction]) -> str:
+    """An exact sum for a message: in full when short, else to six digits."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
+    num, den = total.numerator, total.denominator
+    bits = max(num.bit_length(), den.bit_length())
+    if bits <= _MESSAGE_BITS:
+        return str(total)
+    with localcontext(Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        value = Decimal(num) / Decimal(den)
+    return f"about {value} (numerator or denominator of about {int(bits * log10(2)) + 1} digits)"
 
 
 @dataclass(frozen=True)
@@ -100,7 +117,7 @@ class Distribution:
         total = sum(self.mass)
         if is_exact(self.mass):
             if total != 1:
-                raise SumNotOne(f"exact masses sum to {total}, not 1")
+                raise SumNotOne(f"exact masses sum to {_sum_text(total)}, not 1")
         elif abs(total - 1.0) > _FLOAT_GUARD:
             raise SumNotOne(f"float masses sum to {total!r}, not 1")
         object.__setattr__(self, "partial", tuple(accumulate(self.mass[:-1])))

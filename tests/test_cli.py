@@ -15,8 +15,11 @@ Core claims:
       a CSV first row is a header only if none of its cells is a number;
       arbitrary bytes, small JSON and small CSV documents always end in an
       exit code
-    - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, and the
-      selftest propagates failure
+    - an exact result whose numerator or denominator is too long to print
+      (beyond 14284 bits, about 4,300 digits) is refused as over budget
+      (exit 2) with the field named, before any string is built
+    - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, 3 internal
+      invariant violation or a failed selftest
 """
 
 import io
@@ -259,6 +262,36 @@ class TestDocumentParsing:
         code, doc, _ = run_cli(capsys, "emd", "-")
         assert code == 0
         assert doc["exact"]["emd"] == "1"
+
+
+class TestRenderBound:
+    """A result too long to print is over budget (exit 2), named by its field."""
+
+    Q = [10**999 + k for k in range(1, 9)]  # distinct 1,000-digit denominators
+
+    def rows_document(self, tmp_path, count):
+        path = tmp_path / "rows.json"
+        rows = [[f"1/{q}", f"{q - 1}/{q}"] for q in self.Q[:count]]
+        path.write_text(json.dumps({"distributions": rows}))
+        return str(path)
+
+    def test_eight_long_rows_refused_at_the_emd(self, tmp_path, capsys):
+        code, doc, err = run_cli(capsys, "emd", self.rows_document(tmp_path, 8))
+        assert code == 2
+        assert doc is None
+        assert "exact.emd: the exact result has a numerator or denominator beyond" in err
+
+    def test_five_long_rows_still_render(self, tmp_path, capsys):
+        path = self.rows_document(tmp_path, 5)
+        code, doc, _ = run_cli(capsys, "emd", path)
+        assert code == 0
+        assert F(doc["exact"]["emd"]) == emdkit.emd(load_document(path).xs)
+
+    def test_cost_of_eight_long_values_refused(self, capsys):
+        code, doc, err = run_cli(capsys, "cost", *(f"1/{q}" for q in self.Q))
+        assert code == 2
+        assert doc is None
+        assert "exact.cost: the exact result has a numerator or denominator beyond" in err
 
 
 _CELLS = st.one_of(
@@ -510,7 +543,7 @@ class TestSelftestCommand:
 
     def test_injected_corruption_fails(self, capsys):
         code, doc, _ = run_cli(capsys, "selftest", "--inject-cost-corruption")
-        assert code == 1
+        assert code == 3
         assert doc["passed"] is False
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["monge-with-injected-corruption"] == "fail"

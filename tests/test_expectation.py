@@ -13,6 +13,7 @@ Core claims:
       with quadrature beyond the old d*n = 600 threshold
     - the quadrature path agrees with the exact path to 1e-9 relative
     - thresholds, budgets, and node minimums are enforced
+    - gauss_legendre caches its nodes and weights as read-only arrays
 """
 
 import os
@@ -353,6 +354,13 @@ class TestGaussLegendre:
         x, w = gauss_legendre(40)
         assert np.all(w > 0)
         assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = gauss_legendre(17)
+        assert gauss_legendre(17)[0] is x
+        for array in (x, w):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_node_budget_enforced(self):
         with pytest.raises(BudgetExceeded):

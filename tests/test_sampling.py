@@ -6,6 +6,10 @@ Core claims:
     - mc_expected_emd is bit-reproducible, invariant under worker
       partitioning, and lands within 3 standard errors of the exact value;
       a sample count beyond DEFAULT_SAMPLE_LIMIT is refused up front
+    - the block kernel gives every sample the value of the per-sample
+      formula (sort each member, sort each column, Lee-weight the gaps) on
+      its (d, n) slice of the block's (seed, block) substream, a short last
+      block reading a prefix of its stream
 """
 
 from math import sqrt
@@ -21,7 +25,7 @@ from emdkit import (
     mc_expected_emd,
     sample_simplex,
 )
-from emdkit.sampling import DEFAULT_SAMPLE_LIMIT
+from emdkit.sampling import _BLOCK_UNIFORMS, DEFAULT_SAMPLE_LIMIT, _block_emds
 
 
 def fresh_rng(seed=123):
@@ -78,6 +82,53 @@ class TestSampleSimplex:
             p = poly.evaluate(z)
             stderr = sqrt(p * (1 - p) / samples)
             assert abs(count / samples - p) <= 3 * stderr
+
+
+def block_uniforms(seed, block, count, d, n):
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | block)).random((count, d, n))
+
+
+def per_sample_emd(u, wt):
+    """One sample's EMD from its (d, n) uniforms: sort each member, then each column."""
+    columns = np.sort(np.sort(u, axis=1), axis=0)
+    return float(np.sum(np.diff(columns, axis=0) * wt[:, None]))
+
+
+class TestBlockKernel:
+    N, D = 4, 5
+    SIZE = _BLOCK_UNIFORMS // (N * D)  # samples per block
+    K = np.arange(1, D, dtype=np.float64)
+    WT = np.minimum(K, D - K)
+
+    def test_block_values_match_per_sample_formula(self):
+        values = _block_emds(self.N, self.D, 7, 2, self.SIZE, self.WT)
+        u = block_uniforms(7, 2, self.SIZE, self.D, self.N)
+        assert values.shape == (self.SIZE,)
+        for s in range(self.SIZE):
+            assert values[s] == pytest.approx(per_sample_emd(u[s], self.WT), rel=1e-12)
+
+    def test_short_block_reads_a_prefix_of_its_stream(self):
+        full = _block_emds(self.N, self.D, 7, 2, self.SIZE, self.WT)
+        short = _block_emds(self.N, self.D, 7, 2, 10, self.WT)
+        assert np.allclose(short, full[:10], rtol=1e-12, atol=0)
+
+    def test_estimate_is_the_mean_over_block_streams(self):
+        samples = 2 * self.SIZE + self.SIZE // 2
+        estimate = mc_expected_emd(self.N, self.D, samples, seed=9)
+        values = [
+            per_sample_emd(u, self.WT)
+            for block, count in ((0, self.SIZE), (1, self.SIZE), (2, self.SIZE // 2))
+            for u in block_uniforms(9, block, count, self.D, self.N)
+        ]
+        assert len(values) == samples
+        assert estimate.mean == pytest.approx(np.mean(values), rel=1e-12)
+        assert estimate.stderr == pytest.approx(np.std(values, ddof=1) / sqrt(samples), rel=1e-9)
+
+    def test_partition_invariant_over_two_and_a_half_blocks(self):
+        samples = 2 * self.SIZE + self.SIZE // 2
+        base = mc_expected_emd(self.N, self.D, samples, seed=13)
+        for workers in range(1, 6):
+            assert mc_expected_emd(self.N, self.D, samples, seed=13, workers=workers) == base
 
 
 class TestMcExpectedEmd:

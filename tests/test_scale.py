@@ -1,16 +1,28 @@
-"""Scale guard for the column-kernel paths.
+"""Scale guards for the column-kernel paths and the Monte Carlo kernel.
 
 On one exact tuple with n = 1000 and d = 10 (denominator 10**6), sweep_plan,
 g_polynomial and cm_decompose must each finish in under 5 s of CPU time.
 Through the one-pass column kernel each takes well under 1 s on a 2-vCPU
 machine; a path that re-sums a column per index or rescans every partial sum
 per cut is quadratic in n and took 8-63 s there.
+
+mc_expected_emd(3, 4, 100_000) must finish in under 1 s of CPU time.  Drawing
+one block of samples per generator takes about 0.05 s on that machine; one
+generator per sample took about 2.5 s.
 """
 
 import random
 import time
 
-from emdkit import cm_decompose, emd, g_derivative_at_one, g_polynomial, sweep_plan
+from emdkit import (
+    cm_decompose,
+    emd,
+    expected_emd_exact,
+    g_derivative_at_one,
+    g_polynomial,
+    mc_expected_emd,
+    sweep_plan,
+)
 
 from conftest import random_rational_tuple
 
@@ -38,3 +50,12 @@ def test_large_exact_tuple_stays_fast():
     report, elapsed = timed(cm_decompose, xs)
     assert elapsed < LIMIT_S, f"cm_decompose took {elapsed:.2f} s"
     assert report.emd == value
+
+
+def test_monte_carlo_kernel_stays_fast():
+    mc_expected_emd(3, 4, 2, seed=0)  # numpy import, outside the clock
+    start = time.process_time()
+    estimate = mc_expected_emd(3, 4, 100_000, seed=424242)
+    elapsed = time.process_time() - start
+    assert elapsed < 1.0, f"mc_expected_emd took {elapsed:.2f} s"
+    assert abs(estimate.mean - float(expected_emd_exact(3, 4).value)) <= 4 * estimate.stderr

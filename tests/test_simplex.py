@@ -3,7 +3,8 @@
 Core claims:
     - validate_distribution enforces length, nonnegativity, and unit sum,
       renormalizing float input within 1e-12; NaN, infinities and bools are
-      rejected as masses, there and in Distribution itself
+      rejected as masses, there and in Distribution itself; a sum too long
+      to print in full is reported to six digits
     - cumulative is the exact partial-sum transform and is injective
     - a Distribution stores its partial sums at validation; they equal the
       prefix sums and take no part in equality, hashing or repr
@@ -57,6 +58,14 @@ class TestValidateDistribution:
 
     def test_sum_not_one(self):
         with pytest.raises(SumNotOne):
+            validate_distribution(frac("0.5", "0.6"))
+
+    def test_sum_with_a_huge_denominator_is_sum_not_one(self):
+        # The sum's denominator has about 5,000 digits, past int-to-str's limit.
+        masses = [F(1, 10**999 + k) for k in (1, 3, 7, 9, 11)]
+        with pytest.raises(SumNotOne, match=r"sum to about 5\.00000E-999 .*4996 digits"):
+            validate_distribution(masses)
+        with pytest.raises(SumNotOne, match=r"sum to 11/10, not 1"):
             validate_distribution(frac("0.5", "0.6"))
 
     def test_negative_mass(self):
