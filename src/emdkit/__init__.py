@@ -59,13 +59,11 @@ from .simplex import (
     CumulativeVector,
     Distribution,
     DistTuple,
-    OrderStatistics,
     Scalar,
     column,
     cumulative,
     distribution_from_cumulative,
     is_exact,
-    order_stats,
     sorted_columns,
     validate_distribution,
 )
@@ -89,14 +87,12 @@ __all__ = [
     "Distribution",
     "CumulativeVector",
     "DistTuple",
-    "OrderStatistics",
     "is_exact",
     "validate_distribution",
     "cumulative",
     "distribution_from_cumulative",
     "column",
     "sorted_columns",
-    "order_stats",
     # cost
     "lee_weight",
     "epsilon",

@@ -3,10 +3,12 @@
 Everything raised here derives from :class:`EmdError`, so callers can catch a
 single type at the boundary.  Where a builtin exception is the natural fit,
 the subclass inherits it as well, so generic ``except ValueError`` handling
-keeps working.
+keeps working.  ``check_integer`` is the one check of an integer argument.
 """
 
 from __future__ import annotations
+
+import operator
 
 __all__ = [
     "EmdError",
@@ -95,3 +97,13 @@ class ValidationError(EmdError, ValueError):
 
 class InvariantViolation(EmdError, RuntimeError):
     """An internal cross-check failed.  Indicates a bug, not bad input."""
+
+
+def check_integer(name: str, value: object) -> int:
+    """``value`` as an int; a bool or a non-integer raises :class:`DomainError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -28,8 +28,10 @@ cross-check.  Three evaluation routes:
   j <= ceil(n/2) is expanded.  Refused above a d*n threshold, set where the
   worst shape takes about a second (``EMDKIT_EXACT_THRESHOLD``).
 * ``expected_emd_quadrature``  -- Gauss-Legendre with enough nodes to
-  integrate the polynomial exactly, evaluating F_j through the regularized
-  incomplete beta function for float stability at large d.
+  integrate the polynomial exactly.  F_j is the regularized incomplete beta
+  function, and so is phi_d in closed form: phi_d(u) = E[min(K, d-K)] for
+  K ~ Bin(d, u) takes two more incomplete-beta calls.  The same column
+  reflection halves the columns, and memory is O(nodes) at any d.
 * ``expected_emd_recursive``   -- the independent oracle: the expected value
   on a product of simplices of sizes (n_1, ..., n_d) satisfies
 
@@ -59,6 +61,7 @@ from .errors import (
     IndexOutOfRange,
     InsufficientNodes,
     ThresholdExceeded,
+    check_integer,
 )
 from .polynomial import RationalPolynomial
 
@@ -257,6 +260,7 @@ def expected_emd_exact(n: int, d: int) -> ExpectationResult:
     Refuses with :class:`ThresholdExceeded` when d*n exceeds the exact-path
     threshold; callers should fall back to ``expected_emd_quadrature``.
     """
+    n, d = check_integer("n", n), check_integer("d", d)
     threshold = exact_threshold()
     if d * n > threshold:
         raise ThresholdExceeded(
@@ -307,40 +311,36 @@ def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> Expecta
 
     The integrand is a polynomial of degree at most d*n, so any node count
     >= ceil((d*n + 1) / 2) integrates it exactly up to rounding; the default
-    adds 8 spare nodes.  F_j is evaluated via the regularized incomplete
-    beta function, and the weighted binomial mixture in log space, so the
-    route stays stable at large d where expanded coefficients would overflow.
-    """
-    import numpy as np
-    from scipy.special import betainc, gammaln
+    adds 8 spare nodes.  u = F_j(z) is the regularized incomplete beta
+    function I_z(j, n-j+1), and phi_d(u) = E[min(K, d-K)] for K ~ Bin(d, u)
+    is in closed form: with a = floor(d/2) + 1,
 
+        phi_d(u) = d u (1 - 2 I_u(a-1, d-a+1)) + d I_u(a, d-a+1),
+
+    from E[K 1{K >= a}] = d u P(Bin(d-1, u) >= a-1).  Columns j and n+1-j
+    have equal integrals, so only j <= ceil(n/2) is evaluated, the middle
+    one of an odd n counted once.  Memory is O(nodes) at any d.
+    """
+    from scipy.special import betainc
+
+    n, d = check_integer("n", n), check_integer("d", d)
     if n < 1 or d < 2:
         raise DomainError(f"quadrature needs n >= 1 and d >= 2, got n={n}, d={d}")
     minimum = (d * n + 2) // 2
-    if nodes is None:
-        nodes = minimum + 8
+    nodes = minimum + 8 if nodes is None else check_integer("nodes", nodes)
     if nodes < minimum:
         raise InsufficientNodes(
             f"{nodes} nodes cannot integrate degree {d * n}; need >= {minimum}"
         )
     x, w = gauss_legendre(nodes)
     z = 0.5 * (x + 1.0)
-    wz = 0.5 * w
-
-    k = np.arange(1, d, dtype=np.float64)
-    log_coeff = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)
-    wt = np.minimum(k, d - k)
-
+    a = d // 2 + 1
     total = 0.0
-    for j in range(1, n + 1):
-        u = np.clip(betainc(j, n - j + 1, z), 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-            log_1mu = np.log1p(-u)
-        log_terms = log_coeff[:, None] + k[:, None] * log_u[None, :] + (d - k)[:, None] * log_1mu[None, :]
-        terms = np.exp(log_terms)
-        total += float(wz @ (wt @ terms))
-    return ExpectationResult(n=n, d=d, value=total, method="quadrature", nodes=nodes)
+    for j in range(1, (n + 1) // 2 + 1):
+        u = betainc(j, n - j + 1, z)
+        phi = d * u * (1.0 - 2.0 * betainc(a - 1, d - a + 1, u)) + d * betainc(a, d - a + 1, u)
+        total += (1.0 if 2 * j == n + 1 else 2.0) * float(w @ phi)
+    return ExpectationResult(n=n, d=d, value=0.5 * total, method="quadrature", nodes=nodes)
 
 
 def expected_emd_recursive(dims: Sequence[int]) -> Fraction:
@@ -351,10 +351,10 @@ def expected_emd_recursive(dims: Sequence[int]) -> Fraction:
     C(sum(dims) + d, d) on the state count must stay within
     ``DEFAULT_STATE_LIMIT``.
     """
-    key = tuple(sorted(dims))
+    key = tuple(sorted(check_integer("dims entry", v) for v in dims))
     if not key:
         raise DomainError("dims must be nonempty")
-    if any(not isinstance(v, int) or v < 0 for v in key):
+    if key[0] < 0:
         raise DomainError(f"dims must be nonnegative integers, got {dims!r}")
     d = len(key)
     bound = comb(sum(key) + d, d)

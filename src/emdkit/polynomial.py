@@ -78,19 +78,6 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "RationalPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = RationalPolynomial((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "RationalPolynomial":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, check_integer
 from .simplex import Distribution
 
 if TYPE_CHECKING:
@@ -73,7 +73,7 @@ def _block_emds(n: int, d: int, seed: int, block: int, count: int, wt: np.ndarra
     """EMDs of the ``count`` samples of one block, from its (seed, block) substream."""
     import numpy as np
 
-    key = ((seed & _MASK64) << 64) | (block & _MASK64)
+    key = (seed << 64) | block
     u = np.random.Generator(np.random.Philox(key=key)).random((count, d, n))
     u.sort(axis=2)  # u[s, i] is now the cumulative vector of member i of sample s
     u.sort(axis=1)  # u[s, :, j] is now the sorted column j of sample s
@@ -85,7 +85,8 @@ def mc_expected_emd(
 ) -> McEstimate:
     """Mean and standard error of the EMD over independent uniform d-tuples.
 
-    Deterministic given (n, d, samples, seed): identical bits regardless of
+    Deterministic given (n, d, samples, seed), with seed in [0, 2^64) (the
+    Philox key's high word): identical bits regardless of
     ``workers``, which only splits the run's blocks into that many spans, cut
     on block boundaries and run one after another in the calling thread
     (nothing runs in parallel).
@@ -93,12 +94,16 @@ def mc_expected_emd(
     """
     import numpy as np
 
+    n, d = check_integer("n", n), check_integer("d", d)
+    samples, seed = check_integer("samples", samples), check_integer("seed", seed)
     if n < 1 or d < 2:
         raise DomainError(f"mc_expected_emd needs n >= 1 and d >= 2, got n={n}, d={d}")
     if samples < 2:
         raise DomainError(f"mc_expected_emd needs samples >= 2, got {samples}")
     if samples > DEFAULT_SAMPLE_LIMIT:
         raise BudgetExceeded(f"{samples} samples exceed limit {DEFAULT_SAMPLE_LIMIT}")
+    if not 0 <= seed <= _MASK64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 

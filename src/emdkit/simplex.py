@@ -14,8 +14,8 @@ for sampling and Monte Carlo work.
 A :class:`Distribution` computes its partial sums once, at validation, and
 keeps them as ``partial``; ``sorted_columns`` is the one place where a
 tuple's cumulative columns are built from them.  ``column`` (which re-sums
-the masses), ``cumulative`` and ``order_stats`` remain as the member-order
-reference definitions.
+the masses) and ``cumulative`` remain as the member-order reference
+definitions.
 
 Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 1..n), matching the usual mathematical convention; storage is 0-based.
@@ -44,14 +44,12 @@ __all__ = [
     "Distribution",
     "CumulativeVector",
     "DistTuple",
-    "OrderStatistics",
     "is_exact",
     "validate_distribution",
     "cumulative",
     "distribution_from_cumulative",
     "column",
     "sorted_columns",
-    "order_stats",
 ]
 
 #: A mass or coordinate: exact (int / Fraction) or float64.
@@ -186,14 +184,6 @@ class DistTuple:
         return all(m.exact for m in self.members)
 
 
-@dataclass(frozen=True)
-class OrderStatistics:
-    """A sample sorted weakly increasing, with its successive gaps."""
-
-    sorted: tuple[Scalar, ...]
-    deltas: tuple[Scalar, ...]
-
-
 def validate_distribution(raw: Sequence[Scalar]) -> Distribution:
     """Validate a raw mass sequence and return a :class:`Distribution`.
 
@@ -243,12 +233,3 @@ def sorted_columns(xs: DistTuple) -> list[list[Scalar]]:
     """All n cumulative columns in one pass; entry j-1 is ``sorted(column(xs, j))``."""
     return [sorted(col) for col in zip(*(m.partial for m in xs.members))]
 
-
-def order_stats(v: Sequence[Scalar]) -> OrderStatistics:
-    """Sort a sample weakly increasing and record the gaps between neighbors."""
-    values = tuple(v)
-    if not values:
-        raise DomainError("order statistics of an empty sample are undefined")
-    ordered = tuple(sorted(values))
-    deltas = tuple(ordered[i + 1] - ordered[i] for i in range(len(ordered) - 1))
-    return OrderStatistics(sorted=ordered, deltas=deltas)

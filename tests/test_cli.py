@@ -474,6 +474,12 @@ class TestExpectedCommand:
         code, _, _ = run_cli(capsys, "expected", "0", "2")
         assert code == 1
 
+    def test_negative_seed_exit_code(self, capsys):
+        code, doc, err = run_cli(capsys, "expected", "3", "4", "--method", "mc", "--seed", "-1")
+        assert code == 1
+        assert doc is None
+        assert "seed must lie in [0, 2^64)" in err
+
     @pytest.mark.parametrize(
         "argv, culprit",
         [

@@ -11,12 +11,16 @@ Core claims:
     - the exact path's packed-integer route gives the literal integral of
       the integrand bit for bit, forms no polynomial product, and agrees
       with quadrature beyond the old d*n = 600 threshold
-    - the quadrature path agrees with the exact path to 1e-9 relative
-    - thresholds, budgets, and node minimums are enforced
+    - the quadrature path agrees with the exact path to 1e-13 relative,
+      meets floor(d^2/4)/(d+1) at n = 1 for d in the thousands, and traces
+      O(nodes) memory
+    - thresholds, budgets, and node minimums are enforced; a bool or a
+      non-integer n, d, node count, sample count, seed or dim is refused
     - gauss_legendre caches its nodes and weights as read-only arrays
 """
 
 import os
+import tracemalloc
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -36,6 +40,7 @@ from emdkit import (
     expected_emd_recursive,
     gauss_legendre,
     integrand,
+    mc_expected_emd,
     order_stat_cdf,
 )
 from emdkit.expectation import DEFAULT_NODE_LIMIT, THRESHOLD_ENV_VAR, _phi
@@ -258,7 +263,7 @@ class TestPackedIntegerRoute:
     def test_beyond_old_threshold_agrees_with_quadrature(self, n, d):
         assert n * d > 600
         exact = float(expected_emd_exact(n, d).value)
-        assert abs(expected_emd_quadrature(n, d).value - exact) / exact <= 1e-12
+        assert abs(expected_emd_quadrature(n, d).value - exact) / exact <= 1e-13
 
     def test_no_polynomial_products(self, monkeypatch):
         calls = []
@@ -318,11 +323,26 @@ class TestQuadrature:
         )
 
     def test_agrees_with_exact_path(self):
-        for n in (1, 2, 3, 4):
-            for d in (2, 3, 5, 8):
+        for n in range(1, 13):  # odd and even n: the middle column counts once
+            for d in range(2, 13):
                 exact = float(expected_emd_exact(n, d).value)
                 quadrature = expected_emd_quadrature(n, d).value
-                assert abs(quadrature - exact) / exact <= 1e-9
+                assert abs(quadrature - exact) / exact <= 1e-13, (n, d)
+
+    @pytest.mark.parametrize("d", [1500, 5000])
+    def test_single_site_closed_form_at_large_d(self, d):
+        exact = (d * d // 4) / (d + 1)  # E min(K, d-K) for K ~ Bin(d, U), U uniform
+        assert abs(expected_emd_quadrature(1, d).value - exact) / exact <= 1e-13
+
+    def test_traced_peak_is_small_at_large_d(self):
+        expected_emd_quadrature(1, 2)  # loads scipy outside the trace
+        tracemalloc.start()
+        try:
+            expected_emd_quadrature(1, 8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_insufficient_nodes_rejected(self):
         with pytest.raises(InsufficientNodes):
@@ -367,3 +387,26 @@ class TestGaussLegendre:
             gauss_legendre(DEFAULT_NODE_LIMIT + 1)
         with pytest.raises(BudgetExceeded):
             expected_emd_quadrature(3, 4, nodes=10**12)
+
+
+@pytest.mark.parametrize(
+    "function, args, culprit",
+    [
+        (expected_emd_exact, (True, 2), "n"),
+        (expected_emd_exact, (2.5, 2), "n"),
+        (expected_emd_exact, (2, "3"), "d"),
+        (expected_emd_quadrature, (2.5, 3), "n"),
+        (expected_emd_quadrature, (3, 4, True), "nodes"),
+        (expected_emd_quadrature, (3, 4, 20.0), "nodes"),
+        (expected_emd_recursive, ((True, 2),), "dims entry"),
+        (expected_emd_recursive, ((1, 1.0),), "dims entry"),
+        (mc_expected_emd, (2.5, 3, 100, 0), "n"),
+        (mc_expected_emd, (3, False, 100, 0), "d"),
+        (mc_expected_emd, (3, 4, 100.0, 0), "samples"),
+        (mc_expected_emd, (3, 4, 100, 1.5), "seed"),
+        (mc_expected_emd, (3, 4, 100, True), "seed"),
+    ],
+)
+def test_bools_and_non_integers_refused(function, args, culprit):
+    with pytest.raises(DomainError, match=f"^{culprit} must be an integer"):
+        function(*args)

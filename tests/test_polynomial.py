@@ -32,7 +32,7 @@ def test_arithmetic_small():
     assert (p * p).coeffs == (1, 2, 1)
     assert (p + q).coeffs == (0, 1, 1)
     assert (q - p).coeffs == (-2, -1, 1)
-    assert (p ** 3).coeffs == (1, 3, 3, 1)
+    assert (p * p * p).coeffs == (1, 3, 3, 1)
     assert (3 * p).coeffs == (3, 3)
 
 

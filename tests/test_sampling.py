@@ -5,7 +5,8 @@ Core claims:
       documented Beta marginals (means j/(n+1), CDF matching cdf_Fj)
     - mc_expected_emd is bit-reproducible, invariant under worker
       partitioning, and lands within 3 standard errors of the exact value;
-      a sample count beyond DEFAULT_SAMPLE_LIMIT is refused up front
+      a sample count beyond DEFAULT_SAMPLE_LIMIT and a seed outside
+      [0, 2^64) are refused up front
     - the block kernel gives every sample the value of the per-sample
       formula (sort each member, sort each column, Lee-weight the gaps) on
       its (d, n) slice of the block's (seed, block) substream, a short last
@@ -171,3 +172,11 @@ class TestMcExpectedEmd:
             mc_expected_emd(3, 4, DEFAULT_SAMPLE_LIMIT + 1, seed=0)
         with pytest.raises(BudgetExceeded):
             mc_expected_emd(3, 4, 10**12, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\^64\)"):
+            mc_expected_emd(3, 4, 100, seed)
+
+    def test_largest_seed_accepted(self):
+        assert mc_expected_emd(3, 4, 100, 2**64 - 1).seed == 2**64 - 1

@@ -1,4 +1,4 @@
-"""Domain types: validation, cumulative transforms, columns, order statistics.
+"""Domain types: validation, cumulative transforms, columns.
 
 Core claims:
     - validate_distribution enforces length, nonnegativity, and unit sum,
@@ -9,7 +9,6 @@ Core claims:
     - a Distribution stores its partial sums at validation; they equal the
       prefix sums and take no part in equality, hashing or repr
     - column extracts cumulative columns in member order, 1-based
-    - order_stats sorts weakly increasing and is permutation-invariant
     - sorted_columns gives every column sorted, equal to sorted(column(xs, j)),
       on exact and float tuples with zero masses and ties
 """
@@ -17,8 +16,6 @@ Core claims:
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from emdkit import (
     CumulativeVector,
@@ -33,7 +30,6 @@ from emdkit import (
     column,
     cumulative,
     distribution_from_cumulative,
-    order_stats,
     sorted_columns,
     validate_distribution,
 )
@@ -187,39 +183,6 @@ class TestColumn:
     def test_out_of_range(self, j):
         with pytest.raises(IndexOutOfRange):
             column(golden_tuple(), j)
-
-
-class TestOrderStats:
-    def test_reference_column(self):
-        os = order_stats(frac("0.2", "0.3", "0.6", "0", "0.7", "0.1"))
-        assert os.sorted == (F(0), F(1, 10), F(1, 5), F(3, 10), F(3, 5), F(7, 10))
-        assert os.deltas == (F(1, 10), F(1, 10), F(1, 10), F(3, 10), F(1, 10))
-
-    def test_constant_sequence(self):
-        os = order_stats([F(1, 3)] * 4)
-        assert os.deltas == (0, 0, 0)
-
-    def test_two_values(self):
-        os = order_stats([5, 1])
-        assert os.sorted == (1, 5)
-        assert os.deltas == (4,)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            order_stats([])
-
-    @given(st.lists(st.fractions(), min_size=1, max_size=8), st.randoms())
-    def test_permutation_invariant(self, values, pyrandom):
-        shuffled = list(values)
-        pyrandom.shuffle(shuffled)
-        assert order_stats(shuffled) == order_stats(values)
-
-    def test_delta_sum_telescopes(self, rng):
-        for _ in range(100):
-            values = [F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(2, 7))]
-            os = order_stats(values)
-            assert sum(os.deltas) == os.sorted[-1] - os.sorted[0]
-            assert sorted(values) == list(os.sorted)
 
 
 class TestSortedColumns:
