@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     EmdError,
     IndexOutOfRange,
-    InsufficientNodes,
     InvalidNumber,
     InvariantViolation,
     LengthTooShort,
@@ -146,7 +145,6 @@ __all__ = [
     "MarginalMismatch",
     "BudgetExceeded",
     "ThresholdExceeded",
-    "InsufficientNodes",
     "ParseError",
     "ValidationError",
     "InvariantViolation",

@@ -39,7 +39,6 @@ from .cost import cost_counting, cost_deltas, cost_epsilon
 from .errors import (
     BudgetExceeded,
     EmdError,
-    InsufficientNodes,
     InvalidNumber,
     InvariantViolation,
     ParseError,
@@ -367,7 +366,7 @@ def _cmd_expected(args: argparse.Namespace) -> dict:
         result["method"] = {"name": "recursive"}
     elif args.method == "quadrature":
         res = expected_emd_quadrature(n, d, nodes=args.nodes)
-        result["method"] = {"name": "quadrature", "nodes": res.nodes}
+        result["method"] = {"name": "quadrature", "nodes": res.nodes, "error_estimate": res.error}
     else:  # mc
         estimate = mc_expected_emd(n, d, args.samples, args.seed)
         res = ExpectationResult(n=n, d=d, value=estimate.mean, method="mc")
@@ -493,7 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=100_000, help="mc sample count")
     p.add_argument("--seed", type=int, default=0, help="mc seed")
-    p.add_argument("--nodes", type=int, default=None, help="quadrature node count")
+    p.add_argument(
+        "--nodes", type=int, default=None,
+        help="quadrature starting node count per half-window",
+    )
     p.add_argument(
         "--normalized", action="store_true",
         help="also report value / (n * floor(d/2))",
@@ -525,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except (BudgetExceeded, ThresholdExceeded, InsufficientNodes) as exc:
+    except (BudgetExceeded, ThresholdExceeded) as exc:
         print(f"emdkit: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

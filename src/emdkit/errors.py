@@ -22,7 +22,6 @@ __all__ = [
     "MarginalMismatch",
     "BudgetExceeded",
     "ThresholdExceeded",
-    "InsufficientNodes",
     "Infeasible",
     "Unbounded",
     "ParseError",
@@ -73,10 +72,6 @@ class BudgetExceeded(EmdError, RuntimeError):
 
 class ThresholdExceeded(EmdError, RuntimeError):
     """The exact integration path was refused; use the quadrature path."""
-
-
-class InsufficientNodes(EmdError, ValueError):
-    """Too few quadrature nodes for the requested polynomial degree."""
 
 
 class Infeasible(EmdError, RuntimeError):

@@ -27,11 +27,18 @@ cross-check.  Three evaluation routes:
   integrals (phi_d(u) = phi_d(1-u) and X_{n+1-j} ~ 1 - X_j), so only
   j <= ceil(n/2) is expanded.  Refused above a d*n threshold, set where the
   worst shape takes about a second (``EMDKIT_EXACT_THRESHOLD``).
-* ``expected_emd_quadrature``  -- Gauss-Legendre with enough nodes to
-  integrate the polynomial exactly.  F_j is the regularized incomplete beta
-  function, and so is phi_d in closed form: phi_d(u) = E[min(K, d-K)] for
-  K ~ Bin(d, u) takes two more incomplete-beta calls.  The same column
-  reflection halves the columns, and memory is O(nodes) at any d.
+* ``expected_emd_quadrature``  -- windowed Gauss-Legendre.  F_j is the
+  regularized incomplete beta function, and so is phi_d in closed form:
+  phi_d(u) = E[min(K, d-K)] for K ~ Bin(d, u) takes one more incomplete-beta
+  call and a binomial term.  Column j is integrated only over the window between the
+  eps = 1e-20 quantiles of Beta(j, n-j+1); since phi_d(u) <= d min(u, 1-u),
+  the cut loses at most 2 d eps per column.  The window is split at the
+  column median, where u = 1/2, and each half gets G nodes.  G doubles from
+  64 until two successive totals agree within 1e-14 relative, or until
+  G >= (d*n + 2) // 2, where the rule is exact for the degree-d*n integrand;
+  the last difference is the error estimate.  The same column reflection
+  halves the columns.  Work is O(n G) evaluations under a budget of
+  ``DEFAULT_WORK_LIMIT``, memory is bounded by chunking the columns.
 * ``expected_emd_recursive``   -- the independent oracle: the expected value
   on a product of simplices of sizes (n_1, ..., n_d) satisfies
 
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, pi, sqrt
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -59,7 +66,6 @@ from .errors import (
     BudgetExceeded,
     DomainError,
     IndexOutOfRange,
-    InsufficientNodes,
     ThresholdExceeded,
     check_integer,
 )
@@ -86,7 +92,23 @@ THRESHOLD_ENV_VAR = "EMDKIT_EXACT_THRESHOLD"
 DEFAULT_STATE_LIMIT = 1_000_000
 
 #: Most Gauss-Legendre nodes generated; the Newton sweep costs O(nodes^2).
+#: On the quadrature route it caps the per-half-window count G: the
+#: starting ``nodes`` and every doubling of it.
 DEFAULT_NODE_LIMIT = 2**15
+
+#: Most column-node evaluations (three ``betainc`` values each) that one
+#: quadrature call makes over all its passes.  The largest admitted calls,
+#: such as (n, d) = (21844, 2), (21000, 10) and (9362, 200), take 3-4 s of
+#: CPU on a 2-vCPU x86 guest.
+DEFAULT_WORK_LIMIT = 2**22
+
+# Windowed quadrature: probability cut from each tail of a column's window,
+# the starting per-half node count, the agreement that stops the doubling,
+# and the most values one vectorised chunk of columns holds.
+_TAIL = 1e-20
+_START_NODES = 64
+_RTOL = 1e-14
+_CHUNK_VALUES = 2**16
 
 
 def exact_threshold() -> int:
@@ -105,8 +127,10 @@ class ExpectationResult:
     """An expected-EMD value with its provenance.
 
     ``normalized`` divides by the maximum possible EMD, n * floor(d/2),
-    mapping the value into [0, 1].  ``nodes`` is the Gauss-Legendre node
-    count of a quadrature result and None otherwise.
+    mapping the value into [0, 1].  On a quadrature result, ``nodes`` is the
+    final Gauss-Legendre count per half-window and ``error`` the estimate:
+    the difference of the last two totals, or 0.0 when the count reached
+    the exactness bound (d*n + 2) // 2.  Both are None otherwise.
     """
 
     n: int
@@ -114,6 +138,7 @@ class ExpectationResult:
     value: Union[Fraction, float]
     method: str  # "exact-integral" | "recursion" | "quadrature"
     nodes: Optional[int] = None
+    error: Optional[float] = None
 
     @property
     def normalized(self) -> Union[Fraction, float]:
@@ -122,6 +147,7 @@ class ExpectationResult:
 
 def cdf_Fj(n: int, j: int) -> RationalPolynomial:
     """CDF polynomial of the j-th partial sum of a uniform simplex point."""
+    n, j = check_integer("n", n), check_integer("j", j)
     if n < 1:
         raise DomainError(f"cdf_Fj needs n >= 1, got {n}")
     if not 1 <= j <= n:
@@ -155,6 +181,8 @@ def _phi(d: int) -> RationalPolynomial:
 
 def order_stat_cdf(n: int, d: int, i: int, j: int) -> RationalPolynomial:
     """CDF polynomial of the i-th order statistic of d iid copies of X_j."""
+    n, d = check_integer("n", n), check_integer("d", d)
+    i, j = check_integer("i", i), check_integer("j", j)
     if d < 1:
         raise DomainError(f"order_stat_cdf needs d >= 1, got {d}")
     if not 1 <= i <= d:
@@ -165,6 +193,7 @@ def order_stat_cdf(n: int, d: int, i: int, j: int) -> RationalPolynomial:
 
 def integrand(n: int, d: int) -> RationalPolynomial:
     """The expected-EMD integrand: sum over columns of phi_d composed with F_j."""
+    n, d = check_integer("n", n), check_integer("d", d)
     if n < 1 or d < 2:
         raise DomainError(f"integrand needs n >= 1 and d >= 2, got n={n}, d={d}")
     phi = _phi(d)
@@ -272,21 +301,29 @@ def expected_emd_exact(n: int, d: int) -> ExpectationResult:
     return ExpectationResult(n=n, d=d, value=_integral_exact(n, d), method="exact-integral")
 
 
-@lru_cache(maxsize=8)
+def _check_nodes(nodes: object) -> int:
+    """A node count as an int in 1..DEFAULT_NODE_LIMIT, or the matching error."""
+    nodes = check_integer("nodes", nodes)
+    if nodes < 1:
+        raise DomainError(f"gauss_legendre needs at least one node, got {nodes}")
+    if nodes > DEFAULT_NODE_LIMIT:
+        raise BudgetExceeded(f"{nodes} quadrature nodes exceed limit {DEFAULT_NODE_LIMIT}")
+    return nodes
+
+
+@lru_cache(maxsize=8, typed=True)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], as read-only arrays.
 
     Newton iteration on the Legendre recurrence from the standard cosine
     initial guesses, run to 1e-15; symmetric to rounding.  At most
     ``DEFAULT_NODE_LIMIT`` nodes.  The last few node counts asked for are
-    cached, which is why the arrays cannot be written to.
+    cached, which is why the arrays cannot be written to; the cache is
+    keyed by type, so a bool never hits an int's entry and is refused.
     """
     import numpy as np
 
-    if nodes < 1:
-        raise DomainError(f"gauss_legendre needs at least one node, got {nodes}")
-    if nodes > DEFAULT_NODE_LIMIT:
-        raise BudgetExceeded(f"{nodes} quadrature nodes exceed limit {DEFAULT_NODE_LIMIT}")
+    nodes = _check_nodes(nodes)
     i = np.arange(nodes)
     x = np.cos(np.pi * (i + 0.75) / (nodes + 0.5))
     dp = np.ones_like(x)
@@ -306,41 +343,148 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> ExpectationResult:
-    """Expected EMD by Gauss-Legendre quadrature of the integrand.
+def _column_windows(n: int) -> tuple[np.ndarray, ...]:
+    """Per column j <= ceil(n/2): Beta parameters, window, median and multiplicity.
 
-    The integrand is a polynomial of degree at most d*n, so any node count
-    >= ceil((d*n + 1) / 2) integrates it exactly up to rounding; the default
-    adds 8 spare nodes.  u = F_j(z) is the regularized incomplete beta
-    function I_z(j, n-j+1), and phi_d(u) = E[min(K, d-K)] for K ~ Bin(d, u)
-    is in closed form: with a = floor(d/2) + 1,
-
-        phi_d(u) = d u (1 - 2 I_u(a-1, d-a+1)) + d I_u(a, d-a+1),
-
-    from E[K 1{K >= a}] = d u P(Bin(d-1, u) >= a-1).  Columns j and n+1-j
-    have equal integrals, so only j <= ceil(n/2) is evaluated, the middle
-    one of an odd n counted once.  Memory is O(nodes) at any d.
+    The window [lo, hi] cuts probability _TAIL from each tail of
+    X_j ~ Beta(j, n-j+1) (the upper end by the mirror law of 1 - X_j), and
+    the median splits it in two.  Columns j and n+1-j have equal integrals,
+    so each column counts twice, the middle one of an odd n once.
     """
+    import numpy as np
+    from scipy.special import betaincinv
+
+    p = np.arange(1, (n + 1) // 2 + 1, dtype=np.float64)
+    q = n + 1 - p
+    lo = betaincinv(p, q, _TAIL)
+    mid = betaincinv(p, q, 0.5)
+    hi = 1.0 - betaincinv(q, p, _TAIL)
+    mult = np.full(p.size, 2.0)
+    if n % 2:
+        mult[-1] = 1.0
+    return p, q, lo, mid, hi, mult
+
+
+def _central_ratio(m: int) -> float:
+    """C(2m, m) / 4^m, correctly rounded below m = 2048.
+
+    From m = 2048 on it is the asymptotic series of Gamma(m + 1/2) /
+    (sqrt(pi) m!), whose first omitted term, 399 / (262144 m^5), is below
+    5e-20 relative there.
+    """
+    if m < 2048:
+        return comb(2 * m, m) / 4**m
+    series = 1 - 1 / (8 * m) + 1 / (128 * m**2) + 5 / (1024 * m**3) - 21 / (32768 * m**4)
+    return series / sqrt(pi * m)
+
+
+def _weight(d: int, u: np.ndarray) -> np.ndarray:
+    """phi_d(u) = E[min(K, d-K)] for K ~ Bin(d, u), by one incomplete-beta call.
+
+    With m = floor(d/2), E[K 1{K > m}] = d u P(Bin(d-1, u) >= m) gives
+    phi_d(u) = d u (1 - 2 I_u(m, d-m)) + d I_u(m+1, d-m), and the
+    recurrence I_u(m+1, d-m) = I_u(m, d-m) - t with
+    t = C(d-1, m) u^m (1-u)^(d-m) turns it into
+
+        phi_d(u) = d (u + (1 - 2u) I_u(m, d-m) - t).
+
+    Since 4u(1-u) = 1 - s^2 with s = 1 - 2u,
+    t = C(2m, m) 4^-m exp(m log1p(-s^2)) times 1/2 (d even) or 1-u (d odd);
+    near u = 1/2, where t is largest, m s^2 is small and t is accurate to a
+    few ulps at any d.
+    """
+    import numpy as np
     from scipy.special import betainc
 
+    m = d // 2
+    s = 1.0 - 2.0 * u
+    with np.errstate(divide="ignore"):  # u = 0 or 1 gives log1p(-1) = -inf and t = 0
+        t = _central_ratio(m) * np.exp(m * np.log1p(-s * s))
+    t *= 0.5 if d % 2 == 0 else 1.0 - u
+    return d * (u + s * betainc(m, d - m, u) - t)
+
+
+def _windowed_sum(d: int, columns: tuple[np.ndarray, ...], x: np.ndarray, w: np.ndarray) -> float:
+    """sum_j mult_j * int_window phi_d(F_j(z)) dz, by the rule (x, w) on each half."""
+    import numpy as np
+    from scipy.special import betainc
+
+    p, q, lo, mid, hi, mult = columns
+    step = max(1, _CHUNK_VALUES // (2 * x.size))
+    total = 0.0
+    for s in range(0, p.size, step):
+        c = slice(s, s + step)
+        left = np.stack((lo[c], mid[c]), axis=1)[:, :, None]  # (columns, halves, 1)
+        half = 0.5 * (np.stack((mid[c], hi[c]), axis=1)[:, :, None] - left)
+        u = betainc(p[c, None, None], q[c, None, None], left + half * (x + 1.0))
+        total += float(mult[c] @ ((_weight(d, u) @ w) * half[:, :, 0]).sum(axis=1))
+    return total
+
+
+def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> ExpectationResult:
+    """Expected EMD by windowed Gauss-Legendre quadrature of the integrand.
+
+    u = F_j(z) is the regularized incomplete beta function I_z(j, n-j+1),
+    and phi_d(u) = E[min(K, d-K)] for K ~ Bin(d, u) is in closed form: with
+    m = floor(d/2) and s = 1 - 2u,
+
+        phi_d(u) = d (u + s I_u(m, d-m) - C(d-1, m) u^m (1-u)^(d-m)),
+
+    one more incomplete-beta call (see ``_weight``).  Columns j and n+1-j
+    have equal integrals, so only j <= ceil(n/2) is evaluated, the middle
+    one of an odd n counted once.
+
+    Column j is integrated over its window
+    [betaincinv(j, n-j+1, eps), 1 - betaincinv(n-j+1, j, eps)], eps = 1e-20.
+    Since phi_d(u) <= d min(u, 1-u), the part cut off is at most 2 d eps
+    per column.  The window is split at the column median, where u = 1/2
+    and phi_d bends most, and each half gets G Gauss-Legendre nodes,
+    evaluated over chunks of columns so that memory stays bounded at any n.
+    G starts at ``nodes`` (default 64) and doubles until two successive
+    totals agree within 1e-14 relative, or until G >= (d*n + 2) // 2, where
+    the rule is exact for the degree-d*n integrand on any interval; when
+    that count is at most 3 G, the doubling could not stop for less, so
+    the loop starts at it.  The result's ``nodes`` is the final G and
+    ``error`` the last successive difference, 0.0 when the exact count
+    ended the loop.  Before each pass, the column-node evaluations needed to
+    finish (a first pass below the exact count needs the second) are
+    checked against ``DEFAULT_WORK_LIMIT`` for the whole call, and
+    ``BudgetExceeded`` is raised before the pass when they would pass it,
+    as it is for a G above ``DEFAULT_NODE_LIMIT``.
+    """
     n, d = check_integer("n", n), check_integer("d", d)
     if n < 1 or d < 2:
         raise DomainError(f"quadrature needs n >= 1 and d >= 2, got n={n}, d={d}")
-    minimum = (d * n + 2) // 2
-    nodes = minimum + 8 if nodes is None else check_integer("nodes", nodes)
-    if nodes < minimum:
-        raise InsufficientNodes(
-            f"{nodes} nodes cannot integrate degree {d * n}; need >= {minimum}"
-        )
-    x, w = gauss_legendre(nodes)
-    z = 0.5 * (x + 1.0)
-    a = d // 2 + 1
-    total = 0.0
-    for j in range(1, (n + 1) // 2 + 1):
-        u = betainc(j, n - j + 1, z)
-        phi = d * u * (1.0 - 2.0 * betainc(a - 1, d - a + 1, u)) + d * betainc(a, d - a + 1, u)
-        total += (1.0 if 2 * j == n + 1 else 2.0) * float(w @ phi)
-    return ExpectationResult(n=n, d=d, value=0.5 * total, method="quadrature", nodes=nodes)
+    g = _START_NODES if nodes is None else _check_nodes(nodes)
+    exact_nodes = (d * n + 2) // 2
+    if g < exact_nodes <= 3 * g:
+        # the doubling cannot stop before 3g nodes per half; one exact pass costs no more
+        g = exact_nodes
+    per_node = (n + 1) // 2 * 2  # evaluations per node count: two halves per column
+    columns = previous = None
+    work = 0
+    while True:
+        work += per_node * _check_nodes(g)
+        # a first pass below the exact count cannot end the loop, so the next one counts too
+        least = work + (per_node * 2 * g if previous is None and g < exact_nodes else 0)
+        if least > DEFAULT_WORK_LIMIT:
+            raise BudgetExceeded(
+                f"quadrature at n={n}, d={d}: {least} column-node evaluations "
+                f"exceed limit {DEFAULT_WORK_LIMIT}"
+            )
+        x, w = gauss_legendre(g)
+        if columns is None:
+            columns = _column_windows(n)
+        total = _windowed_sum(d, columns, x, w)
+        if g >= exact_nodes:
+            error = 0.0
+            break
+        if previous is not None and abs(total - previous) <= _RTOL * abs(total):
+            error = abs(total - previous)
+            break
+        previous = total
+        g *= 2
+    return ExpectationResult(n=n, d=d, value=total, method="quadrature", nodes=g, error=error)
 
 
 def expected_emd_recursive(dims: Sequence[int]) -> Fraction:

@@ -96,6 +96,7 @@ def mc_expected_emd(
 
     n, d = check_integer("n", n), check_integer("d", d)
     samples, seed = check_integer("samples", samples), check_integer("seed", seed)
+    workers = check_integer("workers", workers)
     if n < 1 or d < 2:
         raise DomainError(f"mc_expected_emd needs n >= 1 and d >= 2, got n={n}, d={d}")
     if samples < 2:

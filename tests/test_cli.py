@@ -443,6 +443,8 @@ class TestExpectedCommand:
         code, doc, _ = run_cli(capsys, "expected", "6", "100", "--method", "quadrature")
         assert code == 0
         assert abs(float(doc["decimal"]["value"]) - 72.6685) < 5e-3
+        assert doc["method"]["nodes"] == 128  # the final count per half-window
+        assert 0 <= doc["method"]["error_estimate"] <= 1e-14 * 72.67
 
     def test_recursive_small(self, capsys):
         code, doc, _ = run_cli(capsys, "expected", "1", "2", "--method", "recursive")

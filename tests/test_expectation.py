@@ -11,15 +11,19 @@ Core claims:
     - the exact path's packed-integer route gives the literal integral of
       the integrand bit for bit, forms no polynomial product, and agrees
       with quadrature beyond the old d*n = 600 threshold
-    - the quadrature path agrees with the exact path to 1e-13 relative,
-      meets floor(d^2/4)/(d+1) at n = 1 for d in the thousands, and traces
-      O(nodes) memory
-    - thresholds, budgets, and node minimums are enforced; a bool or a
-      non-integer n, d, node count, sample count, seed or dim is refused
+    - the windowed quadrature agrees with the exact path to 1e-13
+      relative, with the integer d = 2 closed form at n = 2000 and 3000,
+      and with floor(d^2/4)/(d+1) at n = 1 for d in the thousands; it
+      reports its final node count and an error estimate within 1e-14 of
+      the value, and traces bounded memory at large d and many columns
+    - thresholds and budgets are enforced, the quadrature's work budget
+      before any incomplete-beta call; a bool or a non-integer n, d, j, i,
+      node count, sample count, seed, worker count or dim is refused
     - gauss_legendre caches its nodes and weights as read-only arrays
 """
 
 import os
+import time
 import tracemalloc
 from fractions import Fraction as F
 from math import comb, factorial
@@ -32,7 +36,6 @@ from emdkit import (
     BudgetExceeded,
     DomainError,
     IndexOutOfRange,
-    InsufficientNodes,
     ThresholdExceeded,
     cdf_Fj,
     expected_emd_exact,
@@ -43,7 +46,14 @@ from emdkit import (
     mc_expected_emd,
     order_stat_cdf,
 )
-from emdkit.expectation import DEFAULT_NODE_LIMIT, THRESHOLD_ENV_VAR, _phi
+from emdkit.expectation import (
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_WORK_LIMIT,
+    THRESHOLD_ENV_VAR,
+    _central_ratio,
+    _phi,
+    _weight,
+)
 from emdkit.polynomial import RationalPolynomial
 
 
@@ -210,6 +220,20 @@ def pair_closed_form(n):
     )
 
 
+def pair_integer_oracle(n):
+    """E[EMD] for d = 2 in integers: 4 (n!)^2 / ((2n+1)! (n+1)) sum_j c_(j-1) c_(n-j).
+
+    c_k = (2k+1) C(2k,k); this is the Beta mean difference of
+    ``pair_closed_form`` written over one denominator.
+    """
+    central = [1]  # C(2k, k)
+    for k in range(n - 1):
+        central.append(central[-1] * 2 * (2 * k + 1) // (k + 1))
+    c = [(2 * k + 1) * b for k, b in enumerate(central)]
+    total = sum(c[j - 1] * c[n - j] for j in range(1, n + 1))
+    return F(4 * factorial(n) ** 2 * total, factorial(2 * n + 1) * (n + 1))
+
+
 class TestPackedIntegerRoute:
     """``expected_emd_exact`` against the literal integral of ``integrand``."""
 
@@ -329,7 +353,7 @@ class TestQuadrature:
                 quadrature = expected_emd_quadrature(n, d).value
                 assert abs(quadrature - exact) / exact <= 1e-13, (n, d)
 
-    @pytest.mark.parametrize("d", [1500, 5000])
+    @pytest.mark.parametrize("d", [1500, 5000, 8000])
     def test_single_site_closed_form_at_large_d(self, d):
         exact = (d * d // 4) / (d + 1)  # E min(K, d-K) for K ~ Bin(d, U), U uniform
         assert abs(expected_emd_quadrature(1, d).value - exact) / exact <= 1e-13
@@ -344,9 +368,69 @@ class TestQuadrature:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_insufficient_nodes_rejected(self):
-        with pytest.raises(InsufficientNodes):
-            expected_emd_quadrature(4, 10, nodes=10)
+    def test_weight_matches_exact_polynomial(self):
+        probes = [0.0, 1e-12, 1e-3, 0.1, 0.3, 0.49, 0.5, 0.51, 0.8, 0.999, 1.0]
+        for d in range(2, 41):
+            phi = _phi(d)
+            values = _weight(d, np.array(probes))
+            for u, value in zip(probes, values):
+                assert abs(value - float(phi.evaluate(F(u)))) <= 1e-15 * d, (d, u)
+
+    def test_central_ratio_series_meets_exact_value(self):
+        for m in (1, 2, 7, 2047):
+            assert _central_ratio(m) == comb(2 * m, m) / 4**m
+        for m in (2048, 2049, 10**4):  # the asymptotic series takes over
+            exact = comb(2 * m, m) / 4**m
+            assert abs(_central_ratio(m) - exact) <= 4e-16 * exact, m
+
+    def test_traced_peak_is_small_over_many_columns(self):
+        expected_emd_quadrature(1, 2)
+        tracemalloc.start()
+        try:
+            expected_emd_quadrature(6000, 2)  # 3000 columns
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_pair_integer_oracle_is_exact(self):
+        for n in range(1, 31):
+            assert pair_integer_oracle(n) == expected_emd_exact(n, 2).value, n
+
+    @pytest.mark.parametrize("n", [2000, 3000])
+    def test_pair_integer_oracle_beyond_threshold(self, n):
+        exact = float(pair_integer_oracle(n))
+        assert abs(expected_emd_quadrature(n, 2).value - exact) / exact <= 1e-13
+
+    @pytest.mark.parametrize(
+        "n, d, nodes",
+        [
+            (8, 10, 64),  # the start count is exact: one pass
+            (22, 9, 100),  # exact at 100 <= 3 * 64: straight to one exact pass
+            (40, 40, 128),  # 64 and 128 agree
+            (1000, 2, 128),
+            (1, 5000, 128),
+        ],
+    )
+    def test_reports_final_nodes_and_error(self, n, d, nodes):
+        res = expected_emd_quadrature(n, d)
+        assert res.nodes == nodes
+        assert 0.0 <= res.error <= 1e-14 * res.value
+        if nodes >= (d * n + 2) // 2:
+            assert res.error == 0.0
+
+    def test_work_budget_refuses_before_evaluating(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        for name in ("betainc", "betaincinv"):
+            monkeypatch.setattr(scipy.special, name, lambda *args, _n=name: calls.append(_n))
+        n = 2 * (DEFAULT_WORK_LIMIT // (2 * (64 + 128)) + 1)  # two passes exceed the budget
+        start = time.process_time()
+        with pytest.raises(BudgetExceeded, match="exceed limit"):
+            expected_emd_quadrature(n, 2)
+        assert time.process_time() - start < 0.1
+        assert calls == []
 
     def test_minimum_node_count_suffices(self):
         minimum = (4 * 10 + 2) // 2
@@ -389,6 +473,10 @@ class TestGaussLegendre:
             expected_emd_quadrature(3, 4, nodes=10**12)
 
 
+def mc_workers(workers):
+    return mc_expected_emd(2, 2, 10, 0, workers=workers)
+
+
 @pytest.mark.parametrize(
     "function, args, culprit",
     [
@@ -405,8 +493,17 @@ class TestGaussLegendre:
         (mc_expected_emd, (3, 4, 100.0, 0), "samples"),
         (mc_expected_emd, (3, 4, 100, 1.5), "seed"),
         (mc_expected_emd, (3, 4, 100, True), "seed"),
+        (gauss_legendre, (True,), "nodes"),
+        (gauss_legendre, (2.5,), "nodes"),
+        (integrand, (True, 2), "n"),
+        (cdf_Fj, (3, True), "j"),
+        (cdf_Fj, (2.5, 1), "n"),
+        (order_stat_cdf, (2.5, 2, 1, 1), "n"),
+        (mc_workers, (True,), "workers"),
+        (mc_workers, (2.5,), "workers"),
     ],
 )
 def test_bools_and_non_integers_refused(function, args, culprit):
+    gauss_legendre(1)  # a cached int entry must not answer for True
     with pytest.raises(DomainError, match=f"^{culprit} must be an integer"):
         function(*args)

@@ -9,6 +9,10 @@ per cut is quadratic in n and took 8-63 s there.
 mc_expected_emd(3, 4, 100_000) must finish in under 1 s of CPU time.  Drawing
 one block of samples per generator takes about 0.05 s on that machine; one
 generator per sample took about 2.5 s.
+
+expected_emd_quadrature(2000, 10) must finish in under 1.5 s of CPU time.
+The windowed rule takes about 0.2 s there; all (d*n + 2) // 2 nodes on
+[0, 1] for every column took 5-8.5 s.
 """
 
 import random
@@ -18,6 +22,7 @@ from emdkit import (
     cm_decompose,
     emd,
     expected_emd_exact,
+    expected_emd_quadrature,
     g_derivative_at_one,
     g_polynomial,
     mc_expected_emd,
@@ -59,3 +64,11 @@ def test_monte_carlo_kernel_stays_fast():
     elapsed = time.process_time() - start
     assert elapsed < 1.0, f"mc_expected_emd took {elapsed:.2f} s"
     assert abs(estimate.mean - float(expected_emd_exact(3, 4).value)) <= 4 * estimate.stderr
+
+
+def test_quadrature_past_the_threshold_stays_fast():
+    expected_emd_quadrature(1, 2)  # numpy and scipy imports, outside the clock
+    start = time.process_time()
+    expected_emd_quadrature(2000, 10)
+    elapsed = time.process_time() - start
+    assert elapsed < 1.5, f"expected_emd_quadrature took {elapsed:.2f} s"
