@@ -34,11 +34,12 @@ cross-check.  Three evaluation routes:
   eps = 1e-20 quantiles of Beta(j, n-j+1); since phi_d(u) <= d min(u, 1-u),
   the cut loses at most 2 d eps per column.  The window is split at the
   column median, where u = 1/2, and each half gets G nodes.  G doubles from
-  64 until two successive totals agree within 1e-14 relative, or until
-  G >= (d*n + 2) // 2, where the rule is exact for the degree-d*n integrand;
-  the last difference is the error estimate.  The same column reflection
+  64 until two successive totals agree within 1e-14 relative, or until it
+  reaches (d*n + 2) // 2, where the rule is exact for the degree-d*n
+  integrand; the last difference is the error estimate.  The same column reflection
   halves the columns.  Work is O(n G) evaluations under a budget of
-  ``DEFAULT_WORK_LIMIT``, memory is bounded by chunking the columns.
+  ``DEFAULT_WORK_LIMIT``, memory is bounded by chunking the columns, and
+  d is capped at ``DEFAULT_D_LIMIT``.
 * ``expected_emd_recursive``   -- the independent oracle: the expected value
   on a product of simplices of sizes (n_1, ..., n_d) satisfies
 
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, pi, sqrt
+from math import comb
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -101,6 +102,14 @@ DEFAULT_NODE_LIMIT = 2**15
 #: such as (n, d) = (21844, 2), (21000, 10) and (9362, 200), take 3-4 s of
 #: CPU on a 2-vCPU x86 guest.
 DEFAULT_WORK_LIMIT = 2**22
+
+#: Largest d the quadrature admits.  phi_d bends around u = 1/2 over a
+#: width of about d^-1/2.  Far past this cap the bend fits between the
+#: median endpoint and the first node of both starting passes, which then
+#: agree on a wrong value: at d = 10^10 the result is 1e-10 relative off
+#: with an error estimate of 4e-16.  Up to 2^16 the bend spans many nodes
+#: of the first pass.
+DEFAULT_D_LIMIT = 2**16
 
 # Windowed quadrature: probability cut from each tail of a column's window,
 # the starting per-half node count, the agreement that stops the doubling,
@@ -305,7 +314,7 @@ def _check_nodes(nodes: object) -> int:
     """A node count as an int in 1..DEFAULT_NODE_LIMIT, or the matching error."""
     nodes = check_integer("nodes", nodes)
     if nodes < 1:
-        raise DomainError(f"gauss_legendre needs at least one node, got {nodes}")
+        raise DomainError(f"nodes must be at least 1, got {nodes}")
     if nodes > DEFAULT_NODE_LIMIT:
         raise BudgetExceeded(f"{nodes} quadrature nodes exceed limit {DEFAULT_NODE_LIMIT}")
     return nodes
@@ -365,17 +374,10 @@ def _column_windows(n: int) -> tuple[np.ndarray, ...]:
     return p, q, lo, mid, hi, mult
 
 
+@lru_cache(maxsize=64)
 def _central_ratio(m: int) -> float:
-    """C(2m, m) / 4^m, correctly rounded below m = 2048.
-
-    From m = 2048 on it is the asymptotic series of Gamma(m + 1/2) /
-    (sqrt(pi) m!), whose first omitted term, 399 / (262144 m^5), is below
-    5e-20 relative there.
-    """
-    if m < 2048:
-        return comb(2 * m, m) / 4**m
-    series = 1 - 1 / (8 * m) + 1 / (128 * m**2) + 5 / (1024 * m**3) - 21 / (32768 * m**4)
-    return series / sqrt(pi * m)
+    """C(2m, m) / 4^m, correctly rounded; memoized, as m = 2^15 takes 0.1 s."""
+    return comb(2 * m, m) / 4**m
 
 
 def _weight(d: int, u: np.ndarray) -> np.ndarray:
@@ -391,7 +393,7 @@ def _weight(d: int, u: np.ndarray) -> np.ndarray:
     Since 4u(1-u) = 1 - s^2 with s = 1 - 2u,
     t = C(2m, m) 4^-m exp(m log1p(-s^2)) times 1/2 (d even) or 1-u (d odd);
     near u = 1/2, where t is largest, m s^2 is small and t is accurate to a
-    few ulps at any d.
+    few ulps.
     """
     import numpy as np
     from scipy.special import betainc
@@ -441,32 +443,33 @@ def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> Expecta
     and phi_d bends most, and each half gets G Gauss-Legendre nodes,
     evaluated over chunks of columns so that memory stays bounded at any n.
     G starts at ``nodes`` (default 64) and doubles until two successive
-    totals agree within 1e-14 relative, or until G >= (d*n + 2) // 2, where
-    the rule is exact for the degree-d*n integrand on any interval; when
-    that count is at most 3 G, the doubling could not stop for less, so
-    the loop starts at it.  The result's ``nodes`` is the final G and
-    ``error`` the last successive difference, 0.0 when the exact count
-    ended the loop.  Before each pass, the column-node evaluations needed to
-    finish (a first pass below the exact count needs the second) are
-    checked against ``DEFAULT_WORK_LIMIT`` for the whole call, and
-    ``BudgetExceeded`` is raised before the pass when they would pass it,
-    as it is for a G above ``DEFAULT_NODE_LIMIT``.
+    totals agree within 1e-14 relative, or until it reaches
+    (d*n + 2) // 2, where the rule is exact for the degree-d*n integrand on
+    any interval; no pass uses more than that count.  The result's
+    ``nodes`` is the final G and ``error`` the last successive difference,
+    0.0 when the exact count ended the loop.  Before each pass, the
+    column-node evaluations needed to finish (a first pass below the exact
+    count needs the second) are checked against ``DEFAULT_WORK_LIMIT`` for
+    the whole call, and ``BudgetExceeded`` is raised before the pass when
+    they would pass it, as it is for a G above ``DEFAULT_NODE_LIMIT`` and
+    for d above ``DEFAULT_D_LIMIT``, past which two passes can agree on a
+    value that misses phi_d's bend at u = 1/2.
     """
     n, d = check_integer("n", n), check_integer("d", d)
     if n < 1 or d < 2:
         raise DomainError(f"quadrature needs n >= 1 and d >= 2, got n={n}, d={d}")
-    g = _START_NODES if nodes is None else _check_nodes(nodes)
+    if d > DEFAULT_D_LIMIT:
+        raise BudgetExceeded(f"quadrature at d={d} exceeds limit {DEFAULT_D_LIMIT}")
     exact_nodes = (d * n + 2) // 2
-    if g < exact_nodes <= 3 * g:
-        # the doubling cannot stop before 3g nodes per half; one exact pass costs no more
-        g = exact_nodes
+    g = min(_START_NODES if nodes is None else _check_nodes(nodes), exact_nodes)
     per_node = (n + 1) // 2 * 2  # evaluations per node count: two halves per column
     columns = previous = None
     work = 0
     while True:
         work += per_node * _check_nodes(g)
         # a first pass below the exact count cannot end the loop, so the next one counts too
-        least = work + (per_node * 2 * g if previous is None and g < exact_nodes else 0)
+        upcoming = min(2 * g, exact_nodes) if previous is None and g < exact_nodes else 0
+        least = work + per_node * upcoming
         if least > DEFAULT_WORK_LIMIT:
             raise BudgetExceeded(
                 f"quadrature at n={n}, d={d}: {least} column-node evaluations "
@@ -476,14 +479,14 @@ def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> Expecta
         if columns is None:
             columns = _column_windows(n)
         total = _windowed_sum(d, columns, x, w)
-        if g >= exact_nodes:
+        if g == exact_nodes:
             error = 0.0
             break
         if previous is not None and abs(total - previous) <= _RTOL * abs(total):
             error = abs(total - previous)
             break
         previous = total
-        g *= 2
+        g = min(2 * g, exact_nodes)
     return ExpectationResult(n=n, d=d, value=total, method="quadrature", nodes=g, error=error)
 
 

@@ -446,6 +446,20 @@ class TestExpectedCommand:
         assert doc["method"]["nodes"] == 128  # the final count per half-window
         assert 0 <= doc["method"]["error_estimate"] <= 1e-14 * 72.67
 
+    def test_quadrature_refuses_d_past_limit(self, capsys):
+        code, doc, err = run_cli(capsys, "expected", "1", "100000", "--method", "quadrature")
+        assert code == 2
+        assert doc is None
+        assert "d=100000 exceeds limit 65536" in err
+
+    def test_quadrature_refuses_zero_nodes(self, capsys):
+        code, doc, err = run_cli(
+            capsys, "expected", "3", "4", "--method", "quadrature", "--nodes", "0"
+        )
+        assert code == 1
+        assert doc is None
+        assert "nodes must be at least 1" in err
+
     def test_recursive_small(self, capsys):
         code, doc, _ = run_cli(capsys, "expected", "1", "2", "--method", "recursive")
         assert code == 0

@@ -15,9 +15,10 @@ Core claims:
       relative, with the integer d = 2 closed form at n = 2000 and 3000,
       and with floor(d^2/4)/(d+1) at n = 1 for d in the thousands; it
       reports its final node count and an error estimate within 1e-14 of
-      the value, and traces bounded memory at large d and many columns
+      the value, meets a rule with 8 times its nodes at the cap on d, and
+      traces bounded memory at large d and many columns
     - thresholds and budgets are enforced, the quadrature's work budget
-      before any incomplete-beta call; a bool or a non-integer n, d, j, i,
+      before any incomplete-beta call, and d past its cap is refused; a bool or a non-integer n, d, j, i,
       node count, sample count, seed, worker count or dim is refused
     - gauss_legendre caches its nodes and weights as read-only arrays
 """
@@ -47,12 +48,14 @@ from emdkit import (
     order_stat_cdf,
 )
 from emdkit.expectation import (
+    DEFAULT_D_LIMIT,
     DEFAULT_NODE_LIMIT,
     DEFAULT_WORK_LIMIT,
     THRESHOLD_ENV_VAR,
-    _central_ratio,
+    _column_windows,
     _phi,
     _weight,
+    _windowed_sum,
 )
 from emdkit.polynomial import RationalPolynomial
 
@@ -353,10 +356,24 @@ class TestQuadrature:
                 quadrature = expected_emd_quadrature(n, d).value
                 assert abs(quadrature - exact) / exact <= 1e-13, (n, d)
 
-    @pytest.mark.parametrize("d", [1500, 5000, 8000])
+    @pytest.mark.parametrize("d", [1500, 5000, 8000, DEFAULT_D_LIMIT])
     def test_single_site_closed_form_at_large_d(self, d):
         exact = (d * d // 4) / (d + 1)  # E min(K, d-K) for K ~ Bin(d, U), U uniform
         assert abs(expected_emd_quadrature(1, d).value - exact) / exact <= 1e-13
+
+    @pytest.mark.parametrize("d", [DEFAULT_D_LIMIT + 1, 10**10])
+    def test_d_past_limit_refused(self, d):
+        # at d = 10^10 the 64- and 128-node totals both miss phi_d's bend at
+        # u = 1/2 and agree on a value 1e-10 relative off
+        with pytest.raises(BudgetExceeded, match="exceeds limit"):
+            expected_emd_quadrature(1, d)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_doubling_meets_a_finer_rule_at_the_d_limit(self, n):
+        res = expected_emd_quadrature(n, DEFAULT_D_LIMIT)
+        x, w = gauss_legendre(8 * res.nodes)
+        fine = _windowed_sum(DEFAULT_D_LIMIT, _column_windows(n), x, w)
+        assert abs(res.value - fine) <= 1e-14 * fine
 
     def test_traced_peak_is_small_at_large_d(self):
         expected_emd_quadrature(1, 2)  # loads scipy outside the trace
@@ -375,13 +392,6 @@ class TestQuadrature:
             values = _weight(d, np.array(probes))
             for u, value in zip(probes, values):
                 assert abs(value - float(phi.evaluate(F(u)))) <= 1e-15 * d, (d, u)
-
-    def test_central_ratio_series_meets_exact_value(self):
-        for m in (1, 2, 7, 2047):
-            assert _central_ratio(m) == comb(2 * m, m) / 4**m
-        for m in (2048, 2049, 10**4):  # the asymptotic series takes over
-            exact = comb(2 * m, m) / 4**m
-            assert abs(_central_ratio(m) - exact) <= 4e-16 * exact, m
 
     def test_traced_peak_is_small_over_many_columns(self):
         expected_emd_quadrature(1, 2)
@@ -405,8 +415,8 @@ class TestQuadrature:
     @pytest.mark.parametrize(
         "n, d, nodes",
         [
-            (8, 10, 64),  # the start count is exact: one pass
-            (22, 9, 100),  # exact at 100 <= 3 * 64: straight to one exact pass
+            (8, 10, 41),  # the exact count is below the start: one pass at it
+            (22, 9, 100),  # 64, then the exact 100
             (40, 40, 128),  # 64 and 128 agree
             (1000, 2, 128),
             (1, 5000, 128),
