@@ -58,6 +58,7 @@ from .simplex import (
     CumulativeVector,
     Distribution,
     DistTuple,
+    Lattice,
     Scalar,
     column,
     cumulative,
@@ -86,6 +87,7 @@ __all__ = [
     "Distribution",
     "CumulativeVector",
     "DistTuple",
+    "Lattice",
     "is_exact",
     "validate_distribution",
     "cumulative",

@@ -32,8 +32,7 @@ from typing import Mapping
 
 from .cost import cost_deltas, lee_weight
 from .errors import DomainError, InvariantViolation
-from .simplex import DistTuple, Scalar, is_exact, sorted_columns
-from .transport import emd_pairwise
+from .simplex import DistTuple, Lattice, Scalar, is_exact
 
 __all__ = [
     "GPolynomial",
@@ -97,7 +96,8 @@ def g_polynomial(xs: DistTuple) -> GPolynomial:
     On float64 copies of rational masses, G'(x; 1) and G''(x; 1) stay within
     4 * d**2 * n * 2**-52 of their exact values.
     """
-    return _gap_polynomial(sorted_columns(xs), xs.d, xs.exact)
+    lattice = xs.lattice
+    return _in_own_terms(_gap_polynomial(lattice.columns(), xs.d, lattice.exact), lattice)
 
 
 def _gap_polynomial(columns: list[list[Scalar]], d: int, exact: bool) -> GPolynomial:
@@ -107,6 +107,13 @@ def _gap_polynomial(columns: list[list[Scalar]], d: int, exact: bool) -> GPolyno
         for i, w in enumerate(weights, start=1):
             coeffs[w] += col[i] - col[i - 1]
     return GPolynomial(d=d, coeffs=coeffs)
+
+
+def _in_own_terms(g: GPolynomial, lattice: Lattice) -> GPolynomial:
+    """A gap polynomial built on the lattice, with coefficients over D."""
+    if lattice.scale == 1:
+        return g
+    return GPolynomial(d=g.d, coeffs={w: lattice.value(c) for w, c in g.coeffs.items()})
 
 
 def g_derivative_at_one(g: GPolynomial, k: int) -> Scalar:
@@ -126,19 +133,21 @@ def g_derivative_at_one(g: GPolynomial, k: int) -> Scalar:
 def cm_decompose(xs: DistTuple) -> CmReport:
     """Decompose the d-fold EMD into pairwise EMDs plus the obstruction.
 
-    The sorted columns are built once and read three ways: the EMD through
-    the column form, the gap polynomial, and the middle-order-statistic scan.
-    The EMD is verified against both the first-derivative identity and the
-    decomposition identity (exactly on the rational backend); a failure of
-    either is a bug and raises :class:`InvariantViolation`.
+    The sorted lattice columns are built once and read three ways: the EMD
+    through the column form, the gap polynomial, and the
+    middle-order-statistic scan; the pairwise EMDs read the lattice's
+    partial sums.  The EMD is verified against both the first-derivative
+    identity and the decomposition identity (exactly on the rational
+    backend); a failure of either is a bug and raises
+    :class:`InvariantViolation`.
     """
     d = xs.d
-    exact = xs.exact
-    tol = 0 if exact else _FLOAT_TOL
+    lattice = xs.lattice
+    tol = 0 if lattice.exact else _FLOAT_TOL
 
-    columns = sorted_columns(xs)
-    g = _gap_polynomial(columns, d, exact)
-    emd_value = sum(cost_deltas(col) for col in columns)
+    columns = lattice.columns()
+    g = _in_own_terms(_gap_polynomial(columns, d, lattice.exact), lattice)
+    emd_value = lattice.value(sum(cost_deltas(col) for col in columns))
     first = g_derivative_at_one(g, 1)
     if abs(first - emd_value) > tol:
         raise InvariantViolation(
@@ -146,10 +155,13 @@ def cm_decompose(xs: DistTuple) -> CmReport:
         )
     obstruction = g_derivative_at_one(g, 2)
 
+    partials = lattice.partial
     pairwise: dict[tuple[int, int], Scalar] = {}
     for k in range(1, d + 1):
         for l in range(k + 1, d + 1):
-            pairwise[(k, l)] = emd_pairwise(xs.members[k - 1], xs.members[l - 1])
+            pairwise[(k, l)] = lattice.value(
+                sum(abs(a - b) for a, b in zip(partials[k - 1], partials[l - 1]))
+            )
     pairwise_sum = sum(pairwise.values())
 
     if abs((d - 1) * emd_value - (obstruction + pairwise_sum)) > tol:
@@ -159,7 +171,8 @@ def cm_decompose(xs: DistTuple) -> CmReport:
         )
 
     obstruction_free = abs(obstruction) <= tol
-    # Independent criterion: X_j^(2) = ... = X_j^(d-1) in every column j.
+    # Independent criterion: X_j^(2) = ... = X_j^(d-1) in every column j
+    # (scale-free, so read on the lattice).
     middles_equal = all(col[d - 2] - col[1] <= tol for col in columns)
     if obstruction_free != middles_equal:
         raise InvariantViolation(
@@ -173,7 +186,7 @@ def cm_decompose(xs: DistTuple) -> CmReport:
         obstruction=obstruction,
         pairwise=pairwise,
         equality_holds=obstruction_free,
-        approximate=not exact,
+        approximate=not lattice.exact,
         g=g,
     )
 

@@ -30,8 +30,10 @@ entries in coordinate pairs suffices for the full property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceeded, DomainError, IndexOutOfRange
@@ -71,20 +73,27 @@ def epsilon(i: int, d: int) -> int:
     return 1
 
 
+@lru_cache(maxsize=64)
+def _signs(d: int) -> tuple[int, ...]:
+    """``(eps(1), ..., eps(d))`` for d sample positions."""
+    return tuple(epsilon(i, d) for i in range(1, d + 1))
+
+
 def cost_epsilon(y: Sequence[Scalar]) -> Scalar:
     """Dispersion cost via the signed order-statistic sum."""
-    d = len(y)
-    ordered = sorted(y)
-    return sum(epsilon(i, d) * ordered[i - 1] for i in range(1, d + 1))
+    return sum(map(mul, _signs(len(y)), sorted(y)))
+
+
+@lru_cache(maxsize=64)
+def _weights(d: int) -> tuple[int, ...]:
+    """``(wt(1), ..., wt(d-1))`` for the d-1 gaps of a d-sample."""
+    return tuple(lee_weight(i, d) for i in range(1, d))
 
 
 def cost_deltas(y: Sequence[Scalar]) -> Scalar:
     """Dispersion cost via Lee-weighted gaps between successive order statistics."""
-    d = len(y)
     ordered = sorted(y)
-    return sum(
-        lee_weight(i, d) * (ordered[i] - ordered[i - 1]) for i in range(1, d)
-    )
+    return sum(w * (b - a) for w, a, b in zip(_weights(len(y)), ordered, ordered[1:]))
 
 
 def cost_counting(y: Sequence[int], n: int) -> int:

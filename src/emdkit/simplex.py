@@ -12,10 +12,12 @@ equalities.  Sequences containing floats use the float64 backend, reserved
 for sampling and Monte Carlo work.
 
 A :class:`Distribution` computes its partial sums once, at validation, and
-keeps them as ``partial``; ``sorted_columns`` is the one place where a
-tuple's cumulative columns are built from them.  ``column`` (which re-sums
-the masses) and ``cumulative`` remain as the member-order reference
-definitions.
+keeps them as ``partial``; ``sorted_columns`` builds a tuple's cumulative
+columns from them.  A :class:`DistTuple` builds its :class:`Lattice` once,
+on first use: every mass and partial sum as an integer over one common
+denominator, which the transport and decomposition kernels read.
+``column`` (which re-sums the masses) and ``cumulative`` remain as the
+member-order reference definitions.
 
 Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 1..n), matching the usual mathematical convention; storage is 0-based.
@@ -25,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from math import isfinite, log10
+from math import isfinite, lcm, log10
 from typing import Sequence, Union
 
 from .errors import (
@@ -44,6 +47,7 @@ __all__ = [
     "Distribution",
     "CumulativeVector",
     "DistTuple",
+    "Lattice",
     "is_exact",
     "validate_distribution",
     "cumulative",
@@ -156,8 +160,49 @@ class CumulativeVector:
 
 
 @dataclass(frozen=True)
+class Lattice:
+    """A tuple's masses and partial sums as integers over one denominator.
+
+    ``scale`` is the lcm of every mass's denominator, or 1 when any member
+    is float; ``mass[i]`` and ``partial[i]`` are member i's masses and
+    partial sums times ``scale``.  At scale 1 they are the members' own
+    values, unconverted, so float and mixed tuples do the same float
+    operations as on the members themselves.
+    """
+
+    scale: int
+    exact: bool
+    mass: tuple[tuple[Scalar, ...], ...]
+    partial: tuple[tuple[Scalar, ...], ...]
+
+    def value(self, v: Scalar) -> Scalar:
+        """A lattice value in the tuple's own terms: ``Fraction(v, scale)``."""
+        return v if self.scale == 1 else Fraction(v, self.scale)
+
+    def columns(self) -> list[list[Scalar]]:
+        """The n cumulative columns, each sorted, in lattice units."""
+        return [sorted(col) for col in zip(*self.partial)]
+
+
+def _lattice(members: Sequence[Distribution]) -> Lattice:
+    exact = all(is_exact(m.mass) for m in members)
+    dens = {v.denominator for m in members for v in m.mass} if exact else {1}
+    scale = lcm(*dens)
+    if scale == 1:
+        mass = tuple(m.mass for m in members)
+        return Lattice(1, exact, mass, tuple(m.partial for m in members))
+    up = {den: scale // den for den in dens}
+    mass = tuple(tuple(v.numerator * up[v.denominator] for v in m.mass) for m in members)
+    return Lattice(scale, True, mass, tuple(tuple(accumulate(row[:-1])) for row in mass))
+
+
+@dataclass(frozen=True)
 class DistTuple:
-    """An ordered d-tuple of distributions on a common ground space."""
+    """An ordered d-tuple of distributions on a common ground space.
+
+    ``lattice`` is built on first use and kept; it takes no part in
+    equality, hashing or ``repr``.
+    """
 
     members: tuple[Distribution, ...]
 
@@ -179,9 +224,13 @@ class DistTuple:
     def n(self) -> int:
         return self.members[0].n
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        return _lattice(self.members)
+
     @property
     def exact(self) -> bool:
-        return all(m.exact for m in self.members)
+        return self.lattice.exact
 
 
 def validate_distribution(raw: Sequence[Scalar]) -> Distribution:

@@ -18,26 +18,34 @@ rational backend:
 
 ``lp_oracle_emd`` solves the linear program outright with the exact simplex
 solver and serves as the independent optimality oracle for all of the above.
+
+On an exact tuple every kernel here reads the tuple's :class:`Lattice`: the
+masses and partial sums as integers over one denominator D.  The work is
+integer arithmetic, and each output value becomes ``Fraction(v, D)`` once.
+A plan's masses go onto lcm(D, the plan's own denominators).  Float and
+mixed tuples run the same code at D = 1 on their own values.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
+from itertools import chain, product
+from math import lcm
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .cost import cost_deltas, cost_epsilon
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     DomainError,
+    IndexOutOfRange,
     InvariantViolation,
     MarginalMismatch,
 )
 from .exactlp import solve_min
-from .simplex import Distribution, DistTuple, Scalar, is_exact, sorted_columns
+from .simplex import Distribution, DistTuple, Scalar, is_exact
 
 __all__ = [
     "TransportPlan",
@@ -61,7 +69,8 @@ class TransportPlan:
     """A sparse transport plan: positive mass per site tuple in {1..n+1}^d.
 
     Zero entries are omitted; plans produced here have at most d*n + 1
-    entries.  ``entries`` is an immutable mapping view.
+    entries.  ``entries`` is an immutable mapping view.  Every site of every
+    key must be an int (not a bool) in 1..n+1.
     """
 
     n: int
@@ -70,9 +79,16 @@ class TransportPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        top = self.n + 1
+        # One pass over every site; only a plan that fails it is searched key
+        # by key for the site at fault.
+        sites = list(chain.from_iterable(self.entries))
+        sites_ok = set(map(type, sites)) <= {int} and set(range(1, top + 1)).issuperset(sites)
         for y, mass in self.entries.items():
             if len(y) != self.d:
                 raise DimensionMismatch(f"plan key {y} is not a {self.d}-tuple")
+            if not sites_ok and not all(type(site) is int and 0 < site <= top for site in y):
+                raise IndexOutOfRange(f"plan key {y!r} has a site that is not an int in 1..{top}")
             if mass <= 0:
                 raise InvariantViolation(f"plan mass at {y} is not positive: {mass!r}")
 
@@ -123,36 +139,32 @@ def greedy_plan(xs: DistTuple) -> TransportPlan:
     Start at y = (1, ..., 1); repeatedly allocate the bottleneck mass
     min_i x^i_{y_i}, subtract it from every coordinate, and advance every
     exhausted coordinate by one.  All simultaneously exhausted coordinates
-    advance in the same step, which makes the run deterministic.  On the
-    float backend the computed minimum is subtracted as-is and residuals
-    below 1e-12 snap to zero, so exhaustion stays a crisp predicate.
+    advance in the same step, which makes the run deterministic; the member
+    holding the bottleneck is always exhausted, so the sweep ends within
+    d*(n+1) steps.  On the float backend the computed minimum is subtracted
+    as-is and residuals below 1e-12 snap to zero, so exhaustion stays a
+    crisp predicate.
     """
     n, d = xs.n, xs.d
-    exact = xs.exact
-    remaining = [list(member.mass) for member in xs.members]
+    lattice = xs.lattice
+    rows = lattice.mass
+    # Residuals are never negative.  Exact lattice values are integers, so a
+    # residual below 1 is zero; a float residual below 1e-12 snaps to zero.
+    spent = 1 if lattice.exact else _SNAP
     y = [1] * d
+    current = [row[0] for row in rows]
     entries: dict[tuple[int, ...], Scalar] = {}
-    for _ in range(d * (n + 1) + 1):
-        if any(pos > n + 1 for pos in y):
-            break
-        bottleneck = min(remaining[i][y[i] - 1] for i in range(d))
+    while True:
+        bottleneck = min(current)
         if bottleneck > 0:
-            entries[tuple(y)] = bottleneck
-        exhausted = []
-        for i in range(d):
-            residual = remaining[i][y[i] - 1] - bottleneck
-            if not exact and 0 < residual < _SNAP:
-                residual = 0.0
-            remaining[i][y[i] - 1] = residual
-            if residual == 0:
-                exhausted.append(i)
-        if not exhausted:
-            raise InvariantViolation("greedy step made no progress")
-        for i in exhausted:
-            y[i] += 1
-    else:
-        raise InvariantViolation("greedy sweep did not terminate")
-    return TransportPlan(n=n, d=d, entries=entries)
+            entries[tuple(y)] = lattice.value(bottleneck)
+        current = [v - bottleneck for v in current]
+        for i, residual in enumerate(current):
+            if residual < spent:
+                y[i] += 1
+                if y[i] > n + 1:
+                    return TransportPlan(n=n, d=d, entries=entries)
+                current[i] = rows[i][y[i] - 1]
 
 
 def sweep_plan(xs: DistTuple) -> Breakpoints:
@@ -161,18 +173,27 @@ def sweep_plan(xs: DistTuple) -> Breakpoints:
     The label at t has i-th coordinate ``#{0 <= k <= n : X^i_k <= t}``
     (with X^i_0 = 0), i.e. the site whose mass interval of member i covers t.
     Converting labeled intervals to masses reproduces ``greedy_plan`` exactly
-    on the rational backend.
+    on the rational backend.  One merge of all members' partial sums below 1
+    visits the cuts in order and bumps a label coordinate per value passed.
     """
-    partials = [member.partial for member in xs.members]
-    cut_set = {abs(0 * partials[0][0])}  # +0 in the backend's type, never -0.0
-    for partial in partials:
-        cut_set.update(v for v in partial if v < 1)
-    cuts = tuple(sorted(cut_set))
-    # Partial sums of nonnegative masses are sorted, so bisection counts them.
-    labels = tuple(
-        tuple(1 + bisect_right(partial, t) for partial in partials) for t in cuts
-    )
-    return Breakpoints(n=xs.n, d=xs.d, cuts=cuts, labels=labels)
+    lattice = xs.lattice
+    one = lattice.scale
+    partials = lattice.partial
+    events = sorted((v, i) for i, partial in enumerate(partials) for v in partial if v < one)
+    # The first cut is +0 in the backend's type, never -0.0.
+    cuts, labels = [abs(0 * xs.members[0].partial[0])], []
+    label = [1] * xs.d
+    cut, k = 0, 0
+    while True:
+        while k < len(events) and events[k][0] <= cut:
+            label[events[k][1]] += 1
+            k += 1
+        labels.append(tuple(label))
+        if k == len(events):
+            break
+        cut = events[k][0]
+        cuts.append(lattice.value(cut))
+    return Breakpoints(n=xs.n, d=xs.d, cuts=tuple(cuts), labels=tuple(labels))
 
 
 def emd(xs: DistTuple) -> Scalar:
@@ -181,7 +202,8 @@ def emd(xs: DistTuple) -> Scalar:
     On float64 copies of rational masses it stays within
     4 * d**2 * n * 2**-52 of the exact value.
     """
-    return sum(cost_deltas(col) for col in sorted_columns(xs))
+    lattice = xs.lattice
+    return lattice.value(sum(cost_deltas(col) for col in lattice.columns()))
 
 
 def emd_pairwise(x: Distribution, y: Distribution) -> Scalar:
@@ -191,9 +213,60 @@ def emd_pairwise(x: Distribution, y: Distribution) -> Scalar:
     return sum(abs(a - b) for a, b in zip(x.partial, y.partial))
 
 
+def _scaled(masses: Sequence[Scalar], scale: int) -> tuple[int, ...]:
+    """Exact masses as integers over ``scale``, a multiple of every denominator."""
+    return tuple(m.numerator * (scale // m.denominator) for m in masses)
+
+
 def plan_objective(plan: TransportPlan) -> Scalar:
-    """Total cost  sum_y C(y) T(y)  of a plan."""
+    """Total cost  sum_y C(y) T(y)  of a plan.
+
+    An exact plan is summed as integers over the lcm of its denominators.
+    """
+    masses = tuple(plan.entries.values())
+    if is_exact(masses):
+        scale = lcm(*{m.denominator for m in masses})
+        if scale > 1:
+            weights = _scaled(masses, scale)
+            return Fraction(sum(cost_epsilon(y) * w for y, w in zip(plan.entries, weights)), scale)
     return sum(cost_epsilon(y) * mass for y, mass in plan.entries.items())
+
+
+def _checked_masses(plan: TransportPlan, xs: DistTuple) -> tuple[tuple[Scalar, ...], int]:
+    """The plan's masses on one scale with the marginals, once they match.
+
+    An exact plan of an exact tuple goes onto lcm(D, its denominators) as
+    integers and is compared exactly; any other pair keeps its own values,
+    compared within 1e-9.  Returns the masses in entry order and the scale.
+    """
+    if plan.n != xs.n or plan.d != xs.d:
+        raise MarginalMismatch(
+            f"plan shape (n={plan.n}, d={plan.d}) does not match tuple "
+            f"(n={xs.n}, d={xs.d})"
+        )
+    lattice = xs.lattice
+    masses = tuple(plan.entries.values())
+    if lattice.exact and is_exact(masses):
+        scale = lcm(lattice.scale, *{m.denominator for m in masses})
+        up = scale // lattice.scale
+        marginals = lattice.mass if up == 1 else [[v * up for v in row] for row in lattice.mass]
+        weights = masses if scale == 1 else _scaled(masses, scale)
+        tol = 0
+    else:
+        scale, marginals, weights, tol = 1, [m.mass for m in xs.members], masses, 1e-9
+    keys = tuple(plan.entries)
+    for i, row in enumerate(marginals):
+        sums: list[Scalar] = [0] * len(row)
+        for y, w in zip(keys, weights):
+            sums[y[i] - 1] += w
+        for j, expected in enumerate(row):
+            if abs(sums[j] - expected) > tol:
+                mass = sum(m for y, m in plan.entries.items() if y[i] == j + 1)
+                raise MarginalMismatch(
+                    f"member {i + 1}, site {j + 1}: plan mass {mass!r} "
+                    f"!= marginal {xs.members[i].mass[j]!r}"
+                )
+    return weights, scale
 
 
 def check_marginals(plan: TransportPlan, xs: DistTuple) -> None:
@@ -201,22 +274,7 @@ def check_marginals(plan: TransportPlan, xs: DistTuple) -> None:
 
     Exact on the rational backend; float marginals may deviate by 1e-9.
     """
-    if plan.n != xs.n or plan.d != xs.d:
-        raise MarginalMismatch(
-            f"plan shape (n={plan.n}, d={plan.d}) does not match tuple "
-            f"(n={xs.n}, d={xs.d})"
-        )
-    tol = 0 if (xs.exact and plan.exact) else 1e-9
-    for i in range(xs.d):
-        sums: list[Scalar] = [0] * (xs.n + 1)
-        for y, mass in plan.entries.items():
-            sums[y[i] - 1] += mass
-        for j, expected in enumerate(xs.members[i].mass):
-            if abs(sums[j] - expected) > tol:
-                raise MarginalMismatch(
-                    f"member {i + 1}, site {j + 1}: plan mass {sums[j]!r} "
-                    f"!= marginal {expected!r}"
-                )
+    _checked_masses(plan, xs)
 
 
 def barycenter(xs: DistTuple, plan: TransportPlan) -> Distribution:
@@ -230,12 +288,13 @@ def barycenter(xs: DistTuple, plan: TransportPlan) -> Distribution:
     lower median is k.  For even d any point between the two middle order
     statistics works; the lower median is the fixed choice here.
     """
-    check_marginals(plan, xs)
-    median_index = (xs.d + 1) // 2
+    weights, scale = _checked_masses(plan, xs)
+    median = (xs.d - 1) // 2
     mass: list[Scalar] = [0] * (xs.n + 1)
-    for y, m in plan.entries.items():
-        target = sorted(y)[median_index - 1]
-        mass[target - 1] += m
+    for y, w in zip(plan.entries, weights):
+        mass[sorted(y)[median] - 1] += w
+    if scale > 1:  # a site no entry reaches keeps an int 0
+        mass = [Fraction(v, scale) if v else 0 for v in mass]
     return Distribution(tuple(mass))
 
 
@@ -245,9 +304,12 @@ def lp_oracle_emd(xs: DistTuple, *, budget: int = 4096) -> Scalar:
     Brute-force optimality oracle: one variable per site tuple, so the
     instance must satisfy ``(n+1)^d <= budget``.  Exact masses only: float
     masses, read losslessly, rarely give every member the same rational
-    total, which leaves the program infeasible.  Returns the exact optimum.
+    total, which leaves the program infeasible.  The program's right-hand
+    side is the lattice's integer masses, so it is solved at D times the
+    masses.  Returns the exact optimum.
     """
-    if not xs.exact:
+    lattice = xs.lattice
+    if not lattice.exact:
         raise DomainError("lp_oracle_emd takes exact masses only (int or Fraction)")
     n, d = xs.n, xs.d
     nvars = (n + 1) ** d
@@ -261,6 +323,6 @@ def lp_oracle_emd(xs: DistTuple, *, budget: int = 4096) -> Scalar:
     for k, y in enumerate(keys):
         for i, site in enumerate(y):
             a[i * (n + 1) + site - 1][k] = 1
-    b = [m for member in xs.members for m in member.mass]
+    b = [m for row in lattice.mass for m in row]
     value, _ = solve_min(a, b, costs)
-    return value
+    return value if lattice.scale == 1 else value / lattice.scale

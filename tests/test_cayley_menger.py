@@ -21,6 +21,7 @@ from emdkit import (
     CumulativeVector,
     DistTuple,
     DomainError,
+    Lattice,
     cm_decompose,
     column,
     cumulative,
@@ -29,7 +30,6 @@ from emdkit import (
     emd_pairwise,
     g_derivative_at_one,
     g_polynomial,
-    sorted_columns,
     validate_distribution,
     vanishing_order,
 )
@@ -143,17 +143,14 @@ class TestDecomposition:
         assert g_derivative_at_one(report.g, 2) == report.obstruction
 
     def test_columns_built_once(self, golden, monkeypatch):
-        import emdkit.cayley_menger
-        import emdkit.transport
-
         calls = []
+        build = Lattice.columns
 
-        def counting(xs):
-            calls.append(xs)
-            return sorted_columns(xs)
+        def counting(lattice):
+            calls.append(lattice)
+            return build(lattice)
 
-        monkeypatch.setattr(emdkit.cayley_menger, "sorted_columns", counting)
-        monkeypatch.setattr(emdkit.transport, "sorted_columns", counting)
+        monkeypatch.setattr(Lattice, "columns", counting)
         assert cm_decompose(golden).emd == F(7, 2)
         assert len(calls) == 1
 

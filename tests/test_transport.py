@@ -12,9 +12,14 @@ Core claims:
       labels each cut t with 1 + #{k : X^i_k <= t}
     - the sweep's first cut is +0 in the backend's type, even after a -0.0 mass
     - the barycenter is a valid distribution reachable at plan cost
+    - a plan key with a site outside 1..n+1, or a site that is not an int,
+      is refused when the plan is built
+    - a tuple mixing exact, float and int members gives, bit for bit, the
+      outputs of the per-mass Fraction kernels the lattice kernels replaced
 """
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -25,13 +30,16 @@ from emdkit import (
     DomainError,
     DistTuple,
     Distribution,
+    IndexOutOfRange,
     MarginalMismatch,
     TransportPlan,
     barycenter,
     check_marginals,
+    cm_decompose,
     cumulative,
     emd,
     emd_pairwise,
+    g_polynomial,
     greedy_plan,
     lp_oracle_emd,
     plan_objective,
@@ -303,6 +311,16 @@ class TestTransportPlanType:
         with pytest.raises(Exception):
             TransportPlan(n=1, d=2, entries={(1, 1): F(0)})
 
+    @pytest.mark.parametrize(
+        "key", [(0, 2), (2, 3), (1, True), (1, 1.0)], ids=["zero", "n+2", "bool", "float"]
+    )
+    def test_site_outside_the_ground_set_refused(self, key):
+        # {(1, 1): 1/2, (0, 2): 1/2} would pass check_marginals for two copies
+        # of (1/2, 1/2), site 0 indexing the last site; (1, True) and (1, 1.0)
+        # would merge with a (1, 1) key, so the other key is (2, 2).
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"plan key {key!r}")):
+            TransportPlan(n=1, d=2, entries={(2, 2): F(1, 2), key: F(1, 2)})
+
     def test_entries_are_read_only(self):
         plan = TransportPlan(n=1, d=2, entries={(1, 1): F(1, 2), (2, 2): F(1, 2)})
         with pytest.raises(TypeError):
@@ -314,3 +332,48 @@ class TestTransportPlanType:
         )
         keys = [y for y, _ in plan.sorted_entries()]
         assert keys == [(1, 1), (1, 2), (2, 2)]
+
+
+class TestMixedTuple:
+    """Fraction, float and int members together: the lattice's scale is 1.
+
+    The expected reprs were recorded from the Fraction kernels that the
+    lattice kernels replaced; repr pins each value's type and every float bit.
+    """
+
+    ROWS = [[F(1, 3), F(1, 6), F(1, 2)], [0.1, 0.2, 0.7], [0, 1, 0], [F(3, 10), 0.45, 0.25]]
+
+    def test_outputs_match_the_fraction_kernels(self):
+        xs = DistTuple(tuple(validate_distribution(row) for row in self.ROWS))
+        assert not xs.exact
+        plan = greedy_plan(xs)
+        check_marginals(plan, xs)
+        sweep = sweep_plan(xs)
+        report = cm_decompose(xs)
+        assert repr(emd(xs)) == "1.4833333333333334"
+        assert repr(plan.sorted_entries()) == (
+            "[((1, 1, 2, 1), 0.1), ((1, 2, 2, 1), 0.19999999999999998), "
+            "((1, 3, 2, 2), 0.033333333333333326), ((2, 3, 2, 2), Fraction(1, 6)), "
+            "((3, 3, 2, 2), 0.25), ((3, 3, 2, 3), 0.25)]"
+        )
+        assert repr(plan_objective(plan)) == "1.4833333333333334"
+        assert repr(sweep.cuts) == (
+            "(Fraction(0, 1), 0.1, 0.3, 0.30000000000000004, Fraction(1, 3), "
+            "Fraction(1, 2), 0.75)"
+        )
+        assert sweep.labels == (
+            (1, 1, 2, 1), (1, 2, 2, 1), (1, 2, 2, 2), (1, 3, 2, 2),
+            (2, 3, 2, 2), (3, 3, 2, 2), (3, 3, 2, 3),
+        )
+        assert repr(sorted(g_polynomial(xs).coeffs.items())) == (
+            "[(1, 0.5833333333333333), (2, 0.44999999999999996)]"
+        )
+        assert repr(
+            (report.emd, report.pairwise_sum, report.obstruction, sorted(report.pairwise.items()))
+        ) == (
+            "(1.4833333333333334, 3.55, 0.8999999999999999, [((1, 2), 0.43333333333333324), "
+            "((1, 3), Fraction(5, 6)), ((1, 4), 0.2833333333333333), ((2, 3), 0.7999999999999999), "
+            "((2, 4), 0.6499999999999999), ((3, 4), 0.55)])"
+        )
+        assert (report.equality_holds, report.approximate) == (False, True)
+        assert repr(barycenter(xs, plan).mass) == "(0.3, 0.44999999999999996, 0.25)"
