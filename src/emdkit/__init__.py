@@ -64,7 +64,6 @@ from .simplex import (
     cumulative,
     distribution_from_cumulative,
     is_exact,
-    sorted_columns,
     validate_distribution,
 )
 from .transport import (
@@ -93,7 +92,6 @@ __all__ = [
     "cumulative",
     "distribution_from_cumulative",
     "column",
-    "sorted_columns",
     # cost
     "lee_weight",
     "epsilon",

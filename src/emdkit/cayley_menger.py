@@ -97,23 +97,17 @@ def g_polynomial(xs: DistTuple) -> GPolynomial:
     4 * d**2 * n * 2**-52 of their exact values.
     """
     lattice = xs.lattice
-    return _in_own_terms(_gap_polynomial(lattice.columns(), xs.d, lattice.exact), lattice)
+    return _gap_polynomial(lattice.columns(), xs.d, lattice)
 
 
-def _gap_polynomial(columns: list[list[Scalar]], d: int, exact: bool) -> GPolynomial:
-    coeffs: dict[int, Scalar] = {w: 0 if exact else 0.0 for w in range(1, d // 2 + 1)}
+def _gap_polynomial(columns: list[list[Scalar]], d: int, lattice: Lattice) -> GPolynomial:
+    """The gap polynomial of the lattice's columns, with coefficients over D."""
+    coeffs: dict[int, Scalar] = {w: 0 if lattice.exact else 0.0 for w in range(1, d // 2 + 1)}
     weights = [lee_weight(i, d) for i in range(1, d)]
     for col in columns:
         for i, w in enumerate(weights, start=1):
             coeffs[w] += col[i] - col[i - 1]
-    return GPolynomial(d=d, coeffs=coeffs)
-
-
-def _in_own_terms(g: GPolynomial, lattice: Lattice) -> GPolynomial:
-    """A gap polynomial built on the lattice, with coefficients over D."""
-    if lattice.scale == 1:
-        return g
-    return GPolynomial(d=g.d, coeffs={w: lattice.value(c) for w, c in g.coeffs.items()})
+    return GPolynomial(d=d, coeffs={w: lattice.value(c) for w, c in coeffs.items()})
 
 
 def g_derivative_at_one(g: GPolynomial, k: int) -> Scalar:
@@ -146,7 +140,7 @@ def cm_decompose(xs: DistTuple) -> CmReport:
     tol = 0 if lattice.exact else _FLOAT_TOL
 
     columns = lattice.columns()
-    g = _in_own_terms(_gap_polynomial(columns, d, lattice.exact), lattice)
+    g = _gap_polynomial(columns, d, lattice)
     emd_value = lattice.value(sum(cost_deltas(col) for col in columns))
     first = g_derivative_at_one(g, 1)
     if abs(first - emd_value) > tol:

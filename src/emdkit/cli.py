@@ -53,7 +53,7 @@ from .expectation import (
 )
 from .sampling import mc_expected_emd
 from .selftest import run_selftest
-from .simplex import DistTuple, sorted_columns, validate_distribution
+from .simplex import DistTuple, validate_distribution
 from .transport import barycenter, emd, greedy_plan, plan_objective, sweep_plan
 
 DEFAULT_DIGITS = 10
@@ -274,7 +274,8 @@ def _plan_block(plan, digits: int) -> dict:
 def _cmd_emd(args: argparse.Namespace) -> dict:
     doc = load_document(args.input)
     xs = doc.xs
-    columns = [cost_deltas(col) for col in sorted_columns(xs)]
+    lattice = xs.lattice
+    columns = [lattice.value(cost_deltas(col)) for col in lattice.columns()]
     total = sum(columns)
     result = {
         "command": "emd",

@@ -104,8 +104,8 @@ def cost_counting(y: Sequence[int], n: int) -> int:
     """
     d = len(y)
     for v in y:
-        if not isinstance(v, int) or not 1 <= v <= n + 1:
-            raise DomainError(f"site {v!r} outside the ground set 1..{n + 1}")
+        if type(v) is not int or not 1 <= v <= n + 1:
+            raise DomainError(f"site {v!r} is not an int in the ground set 1..{n + 1}")
     return sum(lee_weight(sum(1 for v in y if v > j), d) for j in range(1, n + 1))
 
 

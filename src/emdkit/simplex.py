@@ -11,13 +11,12 @@ this package runs on the exact backend, where all identities hold as exact
 equalities.  Sequences containing floats use the float64 backend, reserved
 for sampling and Monte Carlo work.
 
-A :class:`Distribution` computes its partial sums once, at validation, and
-keeps them as ``partial``; ``sorted_columns`` builds a tuple's cumulative
-columns from them.  A :class:`DistTuple` builds its :class:`Lattice` once,
-on first use: every mass and partial sum as an integer over one common
-denominator, which the transport and decomposition kernels read.
-``column`` (which re-sums the masses) and ``cumulative`` remain as the
-member-order reference definitions.
+A :class:`Distribution` holds its validated masses and nothing else.  A
+:class:`DistTuple` builds its :class:`Lattice` once, on first use: every
+mass and partial sum as an integer over one common denominator, and the
+tuple's sorted cumulative columns, which the transport and decomposition
+kernels and the CLI read.  ``column`` and ``cumulative`` (which sum the
+masses themselves) remain as the member-order reference definitions.
 
 Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 1..n), matching the usual mathematical convention; storage is 0-based.
@@ -25,7 +24,7 @@ Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -53,7 +52,6 @@ __all__ = [
     "cumulative",
     "distribution_from_cumulative",
     "column",
-    "sorted_columns",
 ]
 
 #: A mass or coordinate: exact (int / Fraction) or float64.
@@ -75,12 +73,21 @@ def is_exact(values: Sequence[Scalar]) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _check_mass(k: int, m: Scalar) -> None:
-    """Reject a bool, a NaN, an infinity or a negative value as the mass at site k + 1."""
+def _not_real(m: object) -> str | None:
+    """Why ``m`` is not a finite real number, or None when it is one."""
     if isinstance(m, bool):
-        raise InvalidNumber(f"mass at site {k + 1} is a bool, not a number: {m!r}")
-    if isinstance(m, float) and not isfinite(m):
-        raise InvalidNumber(f"mass at site {k + 1} is not finite: {m!r}")
+        return "is a bool, not a number"
+    try:
+        return None if isinstance(m, (int, Fraction)) or isfinite(m) else "is not finite"
+    except TypeError:
+        return "is not a real number"
+
+
+def _check_mass(k: int, m: Scalar) -> None:
+    """Reject anything but a finite, nonnegative real number as the mass at site k + 1."""
+    # A finite float skips the call: the float backend checks every mass twice.
+    if not (type(m) is float and isfinite(m)) and (problem := _not_real(m)):
+        raise InvalidNumber(f"mass at site {k + 1} {problem}: {m!r}")
     if m < 0:
         raise NegativeMass(f"mass at site {k + 1} is negative: {m!r}")
 
@@ -100,14 +107,9 @@ def _sum_text(total: Union[int, Fraction]) -> str:
 
 @dataclass(frozen=True)
 class Distribution:
-    """A point of the standard n-simplex, stored as its n+1 masses.
-
-    ``partial`` holds the n partial sums ``X_1, ..., X_n``, built once here;
-    it takes no part in equality, hashing or ``repr``.
-    """
+    """A point of the standard n-simplex, stored as its n+1 masses."""
 
     mass: tuple[Scalar, ...]
-    partial: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mass) < 2:
@@ -122,7 +124,6 @@ class Distribution:
                 raise SumNotOne(f"exact masses sum to {_sum_text(total)}, not 1")
         elif abs(total - 1.0) > _FLOAT_GUARD:
             raise SumNotOne(f"float masses sum to {total!r}, not 1")
-        object.__setattr__(self, "partial", tuple(accumulate(self.mass[:-1])))
 
     @property
     def n(self) -> int:
@@ -190,10 +191,10 @@ def _lattice(members: Sequence[Distribution]) -> Lattice:
     scale = lcm(*dens)
     if scale == 1:
         mass = tuple(m.mass for m in members)
-        return Lattice(1, exact, mass, tuple(m.partial for m in members))
-    up = {den: scale // den for den in dens}
-    mass = tuple(tuple(v.numerator * up[v.denominator] for v in m.mass) for m in members)
-    return Lattice(scale, True, mass, tuple(tuple(accumulate(row[:-1])) for row in mass))
+    else:
+        up = {den: scale // den for den in dens}
+        mass = tuple(tuple(v.numerator * up[v.denominator] for v in m.mass) for m in members)
+    return Lattice(scale, exact, mass, tuple(tuple(accumulate(row[:-1])) for row in mass))
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,14 @@ class DistTuple:
     def __post_init__(self) -> None:
         if len(self.members) < 2:
             raise DimensionMismatch(f"a tuple needs d >= 2 members, got {len(self.members)}")
-        n = self.members[0].n
         for i, member in enumerate(self.members):
-            if member.n != n:
+            if not isinstance(member, Distribution):
+                raise DomainError(
+                    f"member {i + 1} is a {type(member).__name__}, not a Distribution"
+                )
+            if member.n != self.n:  # member 1 passed the check above
                 raise DimensionMismatch(
-                    f"member {i + 1} has n = {member.n}, expected n = {n}"
+                    f"member {i + 1} has n = {member.n}, expected n = {self.n}"
                 )
 
     @property
@@ -259,7 +263,7 @@ def validate_distribution(raw: Sequence[Scalar]) -> Distribution:
 
 def cumulative(x: Distribution) -> CumulativeVector:
     """Partial sums ``X_j = x_1 + ... + x_j`` for j = 1..n."""
-    return CumulativeVector(x.partial)
+    return CumulativeVector(tuple(accumulate(x.mass[:-1])))
 
 
 def distribution_from_cumulative(cv: CumulativeVector) -> Distribution:
@@ -276,9 +280,4 @@ def column(xs: DistTuple, j: int) -> tuple[Scalar, ...]:
     if not 1 <= j <= xs.n:
         raise IndexOutOfRange(f"column index {j} outside 1..{xs.n}")
     return tuple(sum(member.mass[:j]) for member in xs.members)
-
-
-def sorted_columns(xs: DistTuple) -> list[list[Scalar]]:
-    """All n cumulative columns in one pass; entry j-1 is ``sorted(column(xs, j))``."""
-    return [sorted(col) for col in zip(*(m.partial for m in xs.members))]
 

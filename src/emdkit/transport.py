@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
-from math import lcm
+from itertools import accumulate, chain, product
+from math import isfinite, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -41,11 +41,12 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     IndexOutOfRange,
+    InvalidNumber,
     InvariantViolation,
     MarginalMismatch,
 )
 from .exactlp import solve_min
-from .simplex import Distribution, DistTuple, Scalar, is_exact
+from .simplex import Distribution, DistTuple, Scalar, _not_real, is_exact
 
 __all__ = [
     "TransportPlan",
@@ -70,7 +71,8 @@ class TransportPlan:
 
     Zero entries are omitted; plans produced here have at most d*n + 1
     entries.  ``entries`` is an immutable mapping view.  Every site of every
-    key must be an int (not a bool) in 1..n+1.
+    key must be an int (not a bool) in 1..n+1, and every mass a finite
+    real number (not a bool).
     """
 
     n: int
@@ -80,15 +82,20 @@ class TransportPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         top = self.n + 1
-        # One pass over every site; only a plan that fails it is searched key
-        # by key for the site at fault.
+        # One pass over every site and one over every mass; only a plan that
+        # fails one is searched key by key for the site or mass at fault.
         sites = list(chain.from_iterable(self.entries))
         sites_ok = set(map(type, sites)) <= {int} and set(range(1, top + 1)).issuperset(sites)
+        masses = self.entries.values()
+        kinds = set(map(type, masses))
+        masses_ok = kinds <= {int, Fraction} or (kinds == {float} and isfinite(sum(masses)))
         for y, mass in self.entries.items():
             if len(y) != self.d:
                 raise DimensionMismatch(f"plan key {y} is not a {self.d}-tuple")
             if not sites_ok and not all(type(site) is int and 0 < site <= top for site in y):
                 raise IndexOutOfRange(f"plan key {y!r} has a site that is not an int in 1..{top}")
+            if not masses_ok and (problem := _not_real(mass)):
+                raise InvalidNumber(f"plan mass at {y} {problem}: {mass!r}")
             if mass <= 0:
                 raise InvariantViolation(f"plan mass at {y} is not positive: {mass!r}")
 
@@ -181,7 +188,7 @@ def sweep_plan(xs: DistTuple) -> Breakpoints:
     partials = lattice.partial
     events = sorted((v, i) for i, partial in enumerate(partials) for v in partial if v < one)
     # The first cut is +0 in the backend's type, never -0.0.
-    cuts, labels = [abs(0 * xs.members[0].partial[0])], []
+    cuts, labels = [abs(0 * xs.members[0].mass[0])], []
     label = [1] * xs.d
     cut, k = 0, 0
     while True:
@@ -210,7 +217,7 @@ def emd_pairwise(x: Distribution, y: Distribution) -> Scalar:
     """EMD of two distributions: the L1 distance of their cumulative vectors."""
     if x.n != y.n:
         raise DimensionMismatch(f"operands have n = {x.n} and n = {y.n}")
-    return sum(abs(a - b) for a, b in zip(x.partial, y.partial))
+    return sum(abs(a - b) for a, b in zip(accumulate(x.mass[:-1]), accumulate(y.mass[:-1])))
 
 
 def _scaled(masses: Sequence[Scalar], scale: int) -> tuple[int, ...]:

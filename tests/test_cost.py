@@ -121,6 +121,11 @@ class TestCostForms:
         with pytest.raises(DomainError):
             cost_counting([1, 5], 3)
 
+    @pytest.mark.parametrize("y", [(True, 2), (2, False)])
+    def test_counting_form_refuses_bool_sites(self, y):
+        with pytest.raises(DomainError, match="not an int"):
+            cost_counting(y, 1)
+
     @given(st.lists(st.fractions(), min_size=2, max_size=9))
     def test_signed_and_gap_forms_agree(self, y):
         assert cost_epsilon(y) == cost_deltas(y)

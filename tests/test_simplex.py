@@ -2,19 +2,25 @@
 
 Core claims:
     - validate_distribution enforces length, nonnegativity, and unit sum,
-      renormalizing float input within 1e-12; NaN, infinities and bools are
-      rejected as masses, there and in Distribution itself; a sum too long
-      to print in full is reported to six digits
+      renormalizing float input within 1e-12; NaN, infinities, bools and
+      non-numbers are rejected as masses, there and in Distribution itself;
+      Decimal and numpy float masses are read as floats; a sum too long to
+      print in full is reported to six digits
     - cumulative is the exact partial-sum transform and is injective
-    - a Distribution stores its partial sums at validation; they equal the
-      prefix sums and take no part in equality, hashing or repr
+    - a tuple's lattice stores each member's partial sums, equal to the
+      prefix sums; a Distribution holds its masses and nothing else, in
+      equality, hashing and repr
     - column extracts cumulative columns in member order, 1-based
-    - sorted_columns gives every column sorted, equal to sorted(column(xs, j)),
-      on exact and float tuples with zero masses and ties
+    - the lattice's columns are every column sorted, equal to
+      sorted(D * column(xs, j)), on exact and float tuples with zero masses
+      and ties
+    - a tuple member that is not a Distribution is refused, by position
 """
 
+from decimal import Decimal
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from emdkit import (
@@ -30,7 +36,6 @@ from emdkit import (
     column,
     cumulative,
     distribution_from_cumulative,
-    sorted_columns,
     validate_distribution,
 )
 
@@ -90,6 +95,10 @@ class TestValidateDistribution:
             ([1.0, float("-inf")], "site 2"),
             ([True, False], "site 1"),
             ([F(1, 2), F(1, 2), False], "site 3"),
+            (["0.5", "0.5"], "site 1"),
+            ([None, 1], "site 1"),
+            ([0.5 + 0j, 0.5], "site 1"),
+            ([0.5, F(1, 2), "x"], "site 3"),
         ],
     )
     def test_non_finite_and_bool_masses_rejected(self, masses, site):
@@ -103,6 +112,12 @@ class TestValidateDistribution:
     def test_distribution_rejects_non_finite_and_bool(self, masses):
         with pytest.raises(InvalidNumber):
             Distribution(masses)
+
+    @pytest.mark.parametrize("kind", [Decimal, np.float64, np.float32])
+    def test_decimal_and_numpy_masses_read_as_floats(self, kind):
+        d = validate_distribution([kind("0.25"), kind("0.75")])
+        assert d.mass == (0.25, 0.75) and not d.exact
+        assert all(type(m) is float for m in d.mass)
 
     def test_integer_masses_still_exact(self):
         d = validate_distribution([0, 1])
@@ -146,15 +161,18 @@ class TestCumulative:
 class TestPartialSums:
     def test_stored_partial_sums_are_the_prefix_sums(self, rng):
         for _ in range(100):
-            exact = random_rational_distribution(rng, rng.randint(1, 8))
-            for d in (exact, Distribution(tuple(float(m) for m in exact.mass))):
-                prefix = tuple(sum(d.mass[:j]) for j in range(1, d.n + 1))
-                assert d.partial == cumulative(d).partial == prefix
+            n = rng.randint(1, 8)
+            exact = [random_rational_distribution(rng, n) for _ in range(rng.randint(2, 4))]
+            floats = [Distribution(tuple(float(m) for m in x.mass)) for x in exact]
+            for xs in (DistTuple(tuple(exact)), DistTuple(tuple(floats))):
+                lattice = xs.lattice
+                for x, partial in zip(xs.members, lattice.partial):
+                    prefix = tuple(sum(x.mass[:j]) for j in range(1, n + 1))
+                    assert tuple(map(lattice.value, partial)) == cumulative(x).partial == prefix
 
     def test_partial_sums_outside_equality_hash_and_repr(self):
         a = Distribution((F(1, 4), F(3, 4)))
         b = Distribution((F(1, 4), F(3, 4)))
-        object.__setattr__(b, "partial", (F(1, 2),))  # tamper with the stored sums
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) == "Distribution(mass=(Fraction(1, 4), Fraction(3, 4)))"
 
@@ -188,10 +206,11 @@ class TestColumn:
 class TestSortedColumns:
     @staticmethod
     def assert_matches_column(xs):
-        cols = sorted_columns(xs)
+        scale = xs.lattice.scale
+        cols = xs.lattice.columns()
         assert len(cols) == xs.n
         for j in range(1, xs.n + 1):
-            assert cols[j - 1] == sorted(column(xs, j))
+            assert cols[j - 1] == sorted(scale * v for v in column(xs, j))
 
     @staticmethod
     def float_copy(xs):
@@ -200,17 +219,17 @@ class TestSortedColumns:
         )
 
     def test_reference_first_column(self):
-        assert sorted_columns(golden_tuple())[0] == [
-            F(0), F(1, 10), F(1, 5), F(3, 10), F(3, 5), F(7, 10)
-        ]
+        lattice = golden_tuple().lattice
+        assert lattice.scale == 10
+        assert lattice.columns()[0] == [0, 1, 2, 3, 6, 7]
 
     def test_zero_masses_and_ties(self):
         a = validate_distribution(frac("0", "0.5", "0", "0.5"))
         b = validate_distribution(frac("0.5", "0", "0", "0.5"))
         c = validate_distribution(frac("0", "0", "0", "1"))
         xs = DistTuple((a, b, c, a))
-        half = F(1, 2)
-        assert sorted_columns(xs) == [[0, 0, 0, half], [0, half, half, half], [0, half, half, half]]
+        assert xs.lattice.scale == 2
+        assert xs.lattice.columns() == [[0, 0, 0, 1], [0, 1, 1, 1], [0, 1, 1, 1]]
         self.assert_matches_column(xs)
         self.assert_matches_column(self.float_copy(xs))
 
@@ -244,3 +263,10 @@ class TestDistTuple:
         a = Distribution((F(1, 2), F(1, 2)))
         with pytest.raises(Exception):
             DistTuple((a,))
+
+    def test_member_that_is_not_a_distribution_refused(self):
+        a = Distribution((F(1, 2), F(1, 2)))
+        with pytest.raises(DomainError, match="member 2 is a list"):
+            DistTuple((a, [0.5, 0.5]))
+        with pytest.raises(DomainError, match="member 1 is a tuple"):
+            DistTuple(((F(1, 2), F(1, 2)), a))

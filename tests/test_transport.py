@@ -6,14 +6,16 @@ Core claims:
     - greedy plans satisfy the marginal constraints and the d*n+1 sparsity
       bound; the sweep reproduces the greedy plan entry for entry
     - the exact LP oracle confirms optimality, and refuses float tuples
-    - the pairwise distance is a metric; a triple's EMD is half its pairwise
-      sum; the general EMD dominates pairwise_sum/(d-1)
+    - the pairwise distance is a metric and equals, bit for bit, the EMD of
+      the pair; a triple's EMD is half its pairwise sum; the general EMD
+      dominates pairwise_sum/(d-1)
     - on float tuples with zero masses and repeated cut values, the sweep
       labels each cut t with 1 + #{k : X^i_k <= t}
     - the sweep's first cut is +0 in the backend's type, even after a -0.0 mass
     - the barycenter is a valid distribution reachable at plan cost
     - a plan key with a site outside 1..n+1, or a site that is not an int,
-      is refused when the plan is built
+      and a plan mass that is a bool, a NaN or an infinity are refused when
+      the plan is built
     - a tuple mixing exact, float and int members gives, bit for bit, the
       outputs of the per-mass Fraction kernels the lattice kernels replaced
 """
@@ -31,6 +33,7 @@ from emdkit import (
     DistTuple,
     Distribution,
     IndexOutOfRange,
+    InvalidNumber,
     MarginalMismatch,
     TransportPlan,
     barycenter,
@@ -233,6 +236,14 @@ class TestEmdPairwise:
             assert (emd_pairwise(x, y) == 0) == (x == y)
             assert emd_pairwise(x, z) <= emd_pairwise(x, y) + emd_pairwise(y, z)
 
+    def test_equals_the_emd_of_the_pair(self, rng):
+        for _ in range(200):
+            x, y = random_rational_tuple(rng, rng.randint(1, 8), 2).members
+            fx, fy = (Distribution(tuple(map(float, m.mass))) for m in (x, y))
+            for a, b in ((x, y), (fx, fy), (x, fy)):
+                pairwise, joint = emd_pairwise(a, b), emd(pair(a, b))
+                assert type(pairwise) is type(joint) and pairwise == joint
+
 
 class TestBarycenter:
     def test_identical_members_map_to_themselves(self, rng):
@@ -320,6 +331,17 @@ class TestTransportPlanType:
         # would merge with a (1, 1) key, so the other key is (2, 2).
         with pytest.raises(IndexOutOfRange, match=re.escape(f"plan key {key!r}")):
             TransportPlan(n=1, d=2, entries={(2, 2): F(1, 2), key: F(1, 2)})
+
+    @pytest.mark.parametrize(
+        "mass", [math.nan, math.inf, -math.inf, True], ids=["nan", "inf", "-inf", "bool"]
+    )
+    def test_non_finite_and_bool_masses_refused(self, mass):
+        # {(1, 1): nan, (2, 2): 0.5} would pass check_marginals for two copies
+        # of (1/2, 1/2), and {(1, 1): True} for two copies of (1, 0).
+        with pytest.raises(InvalidNumber, match=re.escape("plan mass at (1, 1)")):
+            TransportPlan(n=1, d=2, entries={(1, 1): mass, (2, 2): 0.5})
+        with pytest.raises(InvalidNumber, match=re.escape("plan mass at (1, 1)")):
+            TransportPlan(n=1, d=2, entries={(2, 2): F(1, 2), (1, 1): mass})
 
     def test_entries_are_read_only(self):
         plan = TransportPlan(n=1, d=2, entries={(1, 1): F(1, 2), (2, 2): F(1, 2)})
