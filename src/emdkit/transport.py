@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from math import isfinite, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -82,19 +82,16 @@ class TransportPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         top = self.n + 1
-        # One pass over every site and one over every mass; only a plan that
-        # fails one is searched key by key for the site or mass at fault.
+        # One pass over every site; only a plan that fails it is searched key
+        # by key for the site at fault.
         sites = list(chain.from_iterable(self.entries))
         sites_ok = set(map(type, sites)) <= {int} and set(range(1, top + 1)).issuperset(sites)
-        masses = self.entries.values()
-        kinds = set(map(type, masses))
-        masses_ok = kinds <= {int, Fraction} or (kinds == {float} and isfinite(sum(masses)))
         for y, mass in self.entries.items():
             if len(y) != self.d:
                 raise DimensionMismatch(f"plan key {y} is not a {self.d}-tuple")
             if not sites_ok and not all(type(site) is int and 0 < site <= top for site in y):
                 raise IndexOutOfRange(f"plan key {y!r} has a site that is not an int in 1..{top}")
-            if not masses_ok and (problem := _not_real(mass)):
+            if problem := _not_real(mass):
                 raise InvalidNumber(f"plan mass at {y} {problem}: {mass!r}")
             if mass <= 0:
                 raise InvariantViolation(f"plan mass at {y} is not positive: {mass!r}")

@@ -99,6 +99,8 @@ class TestValidateDistribution:
             ([None, 1], "site 1"),
             ([0.5 + 0j, 0.5], "site 1"),
             ([0.5, F(1, 2), "x"], "site 3"),
+            ([Decimal("NaN"), 1], "site 1"),
+            ([0.5, Decimal("sNaN")], "site 2"),
         ],
     )
     def test_non_finite_and_bool_masses_rejected(self, masses, site):

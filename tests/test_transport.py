@@ -22,6 +22,7 @@ Core claims:
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -333,7 +334,9 @@ class TestTransportPlanType:
             TransportPlan(n=1, d=2, entries={(2, 2): F(1, 2), key: F(1, 2)})
 
     @pytest.mark.parametrize(
-        "mass", [math.nan, math.inf, -math.inf, True], ids=["nan", "inf", "-inf", "bool"]
+        "mass",
+        [math.nan, math.inf, -math.inf, True, Decimal("sNaN")],
+        ids=["nan", "inf", "-inf", "bool", "decimal-snan"],
     )
     def test_non_finite_and_bool_masses_refused(self, mass):
         # {(1, 1): nan, (2, 2): 0.5} would pass check_marginals for two copies
