@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .cost import cost_deltas, lee_weight
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, check_integer
 from .simplex import DistTuple, Lattice, Scalar, is_exact
 
 __all__ = [
@@ -56,7 +56,9 @@ class GPolynomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        check_integer("d", self.d)
         for w, c in self.coeffs.items():
+            check_integer("Lee weight", w)
             if not 1 <= w <= self.d // 2:
                 raise DomainError(f"Lee weight {w} outside 1..{self.d // 2}")
             if c < 0:
@@ -112,6 +114,7 @@ def _gap_polynomial(columns: list[list[Scalar]], d: int, lattice: Lattice) -> GP
 
 def g_derivative_at_one(g: GPolynomial, k: int) -> Scalar:
     """k-th derivative of the gap polynomial at q = 1 (falling factorials)."""
+    k = check_integer("k", k)
     if k < 1:
         raise DomainError(f"derivative order must be >= 1, got {k}")
     total: Scalar = 0

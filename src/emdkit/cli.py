@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .cayley_menger import cm_decompose
@@ -444,14 +444,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(least: int, kind: str) -> Callable[[str], int]:
+    """An argparse type: an int of at least ``least``, else "must be a <kind> integer"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_digits(p):
         p.add_argument(
-            "--digits", type=_positive_int, default=DEFAULT_DIGITS,
+            "--digits", type=_int_at_least(1, "positive"), default=DEFAULT_DIGITS,
             help="significant digits for decimal renderings (default 10)",
         )
 
@@ -514,7 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cost)
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.add_argument("--budget", type=int, default=10**6, help="0 skips exhaustive checks")
+    p.add_argument(
+        "--budget", type=_int_at_least(0, "nonnegative"), default=10**6,
+        help="0 skips exhaustive checks",
+    )
     p.add_argument(
         "--inject-cost-corruption", action="store_true", help=argparse.SUPPRESS
     )

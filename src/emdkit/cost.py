@@ -36,7 +36,7 @@ from math import comb
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetExceeded, DomainError, IndexOutOfRange
+from .errors import BudgetExceeded, DomainError, IndexOutOfRange, check_integer
 from .simplex import Scalar
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 
 def lee_weight(k: int, d: int) -> int:
     """min(k, d - k) for 0 <= k <= d."""
+    k, d = check_integer("k", k), check_integer("d", d)
     if d < 1:
         raise DomainError(f"lee_weight needs d >= 1, got {d}")
     if not 0 <= k <= d:
@@ -62,6 +63,7 @@ def lee_weight(k: int, d: int) -> int:
 
 def epsilon(i: int, d: int) -> int:
     """Sign of position i among d: -1 below the middle, +1 above, 0 at it."""
+    i, d = check_integer("i", i), check_integer("d", d)
     if d < 1:
         raise DomainError(f"epsilon needs d >= 1, got {d}")
     if not 1 <= i <= d:
@@ -102,7 +104,7 @@ def cost_counting(y: Sequence[int], n: int) -> int:
     Valid only for ``y_i`` in {1, ..., n+1}; agrees with the other two forms
     there.
     """
-    d = len(y)
+    d, n = len(y), check_integer("n", n)
     for v in y:
         if type(v) is not int or not 1 <= v <= n + 1:
             raise DomainError(f"site {v!r} is not an int in the ground set 1..{n + 1}")
@@ -146,10 +148,15 @@ def monge_check(
     can be incremented, checking the adjacent-entry inequality.  ``cost_fn``
     overrides the cost array (used by negative controls); the default is the
     true dispersion cost.  Raises :class:`BudgetExceeded` when either the
-    array size or the number of adjacent pairs exceeds ``budget``.
+    array size or the number of adjacent pairs exceeds ``budget``, and
+    :class:`DomainError` when ``budget`` is negative.
     """
+    n, d = check_integer("n", n), check_integer("d", d)
+    budget = check_integer("budget", budget)
     if n < 1 or d < 2:
         raise DomainError(f"monge_check needs n >= 1 and d >= 2, got n={n}, d={d}")
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
     cells = (n + 1) ** d
     pairs = comb(d, 2) * n * n * (n + 1) ** (d - 2)
     if max(cells, pairs) > budget:

@@ -62,6 +62,7 @@ def sample_simplex(n: int, rng: np.random.Generator) -> Distribution:
     """One uniform point of the n-simplex (sorted-uniform spacings)."""
     import numpy as np
 
+    n = check_integer("n", n)
     if n < 1:
         raise DomainError(f"sample_simplex needs n >= 1, got {n}")
     u = np.sort(rng.random(n))
@@ -87,9 +88,9 @@ def mc_expected_emd(
 
     Deterministic given (n, d, samples, seed), with seed in [0, 2^64) (the
     Philox key's high word): identical bits regardless of
-    ``workers``, which only splits the run's blocks into that many spans, cut
-    on block boundaries and run one after another in the calling thread
-    (nothing runs in parallel).
+    ``workers``, which only splits the run's blocks into that many spans (at
+    most one per block), cut on block boundaries and run one after another
+    in the calling thread (nothing runs in parallel).
     At most ``DEFAULT_SAMPLE_LIMIT`` samples.
     """
     import numpy as np
@@ -113,6 +114,7 @@ def mc_expected_emd(
 
     size = max(1, _BLOCK_UNIFORMS // (d * n))
     blocks = -(-samples // size)
+    workers = min(workers, blocks)  # a span past the last block would be empty
     bounds = [round(blocks * w / workers) for w in range(workers + 1)]
     values = np.concatenate(
         [

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cost import cost_epsilon, monge_check
-from .errors import EmdError
+from .errors import BudgetExceeded
 from .expectation import expected_emd_exact, expected_emd_recursive
 from .simplex import Distribution, DistTuple
 from .transport import (
@@ -86,7 +86,7 @@ def _check_monge(budget: int, corrupt: bool) -> list[CheckResult]:
                     "monge-exhaustive", "pass", f"{checks} adjacent pairs verified"
                 )
             )
-    except EmdError as exc:
+    except BudgetExceeded as exc:
         results.append(CheckResult("monge-exhaustive", "fail", str(exc)))
 
     if corrupt:

@@ -39,12 +39,12 @@ from .errors import (
     LengthTooShort,
     NegativeMass,
     SumNotOne,
+    check_integer,
 )
 
 __all__ = [
     "Scalar",
     "Distribution",
-    "CumulativeVector",
     "DistTuple",
     "Lattice",
     "is_exact",
@@ -120,8 +120,16 @@ class Distribution:
             )
         for k, m in enumerate(self.mass):
             _check_mass(k, m)
+        exact = is_exact(self.mass)
+        if not exact:
+            for k, m in enumerate(self.mass):
+                if not isinstance(m, (float, int, Fraction)):
+                    raise InvalidNumber(
+                        f"mass at site {k + 1} is a {type(m).__name__}: a Distribution holds "
+                        f"int, Fraction or float masses, and validate_distribution converts others"
+                    )
         total = sum(self.mass)
-        if is_exact(self.mass):
+        if exact:
             if total != 1:
                 raise SumNotOne(f"exact masses sum to {_sum_text(total)}, not 1")
         elif abs(total - 1.0) > _FLOAT_GUARD:
@@ -134,32 +142,6 @@ class Distribution:
     @property
     def exact(self) -> bool:
         return is_exact(self.mass)
-
-
-@dataclass(frozen=True)
-class CumulativeVector:
-    """The n partial sums ``X_1 <= ... <= X_n`` of a distribution."""
-
-    partial: tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        if not self.partial:
-            raise LengthTooShort("a cumulative vector needs at least one entry")
-        slack = 0 if is_exact(self.partial) else _FLOAT_GUARD
-        prev: Scalar = 0
-        for k, value in enumerate(self.partial):
-            if value < prev - slack:
-                raise DomainError(
-                    f"cumulative entries must be weakly increasing; "
-                    f"X_{k + 1} = {value!r} < X_{k} = {prev!r}"
-                )
-            prev = value
-        if prev > 1 + slack:
-            raise DomainError(f"cumulative entries must stay within [0, 1]; X_n = {prev!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.partial)
 
 
 @dataclass(frozen=True)
@@ -210,6 +192,7 @@ class DistTuple:
     members: tuple[Distribution, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "members", tuple(self.members))
         if len(self.members) < 2:
             raise DimensionMismatch(f"a tuple needs d >= 2 members, got {len(self.members)}")
         for i, member in enumerate(self.members):
@@ -263,22 +246,24 @@ def validate_distribution(raw: Sequence[Scalar]) -> Distribution:
     return Distribution(floats)
 
 
-def cumulative(x: Distribution) -> CumulativeVector:
+def cumulative(x: Distribution) -> tuple[Scalar, ...]:
     """Partial sums ``X_j = x_1 + ... + x_j`` for j = 1..n."""
-    return CumulativeVector(tuple(accumulate(x.mass[:-1])))
+    return tuple(accumulate(x.mass[:-1]))
 
 
-def distribution_from_cumulative(cv: CumulativeVector) -> Distribution:
-    """Recover the distribution whose partial sums are ``cv`` (by differencing)."""
-    partial = cv.partial
-    mass = [partial[0]]
-    mass.extend(partial[j] - partial[j - 1] for j in range(1, len(partial)))
-    mass.append(1 - partial[-1])
-    return Distribution(tuple(mass))
+def distribution_from_cumulative(partial: Sequence[Scalar]) -> Distribution:
+    """The distribution whose partial sums are ``partial``.
+
+    Its masses are the differences of ``(0, *partial, 1)``, so a decreasing
+    sequence, or one past 1, is refused as :class:`NegativeMass`.
+    """
+    bounds = (0, *partial, 1)
+    return Distribution(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
 def column(xs: DistTuple, j: int) -> tuple[Scalar, ...]:
     """The j-th cumulative column ``(X^1_j, ..., X^d_j)``, 1 <= j <= n."""
+    j = check_integer("j", j)
     if not 1 <= j <= xs.n:
         raise IndexOutOfRange(f"column index {j} outside 1..{xs.n}")
     return tuple(sum(member.mass[:j]) for member in xs.members)

@@ -44,6 +44,7 @@ from .errors import (
     InvalidNumber,
     InvariantViolation,
     MarginalMismatch,
+    check_integer,
 )
 from .exactlp import solve_min
 from .simplex import Distribution, DistTuple, Scalar, _not_real, is_exact
@@ -81,7 +82,8 @@ class TransportPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        top = self.n + 1
+        top = check_integer("n", self.n) + 1
+        check_integer("d", self.d)
         # One pass over every site; only a plan that fails it is searched key
         # by key for the site at fault.
         sites = list(chain.from_iterable(self.entries))
@@ -310,8 +312,12 @@ def lp_oracle_emd(xs: DistTuple, *, budget: int = 4096) -> Scalar:
     masses, read losslessly, rarely give every member the same rational
     total, which leaves the program infeasible.  The program's right-hand
     side is the lattice's integer masses, so it is solved at D times the
-    masses.  Returns the exact optimum.
+    masses.  Returns the exact optimum.  A negative ``budget`` raises
+    :class:`DomainError`.
     """
+    budget = check_integer("budget", budget)
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
     lattice = xs.lattice
     if not lattice.exact:
         raise DomainError("lp_oracle_emd takes exact masses only (int or Fraction)")

@@ -18,7 +18,6 @@ from fractions import Fraction as F
 import pytest
 
 from emdkit import (
-    CumulativeVector,
     DistTuple,
     DomainError,
     Lattice,
@@ -45,20 +44,16 @@ def tuple_with_tied_middles(rng, n, d, k):
     """
     assert 1 <= k <= (d + 1) // 2
     z = random_rational_distribution(rng, n)
-    anchor = cumulative(z).partial
+    anchor = cumulative(z)
     members = [z] * (d - 2 * (k - 1))
     for _ in range(k - 1):
-        low = cumulative(random_rational_distribution(rng, n)).partial
+        low = cumulative(random_rational_distribution(rng, n))
         members.append(
-            distribution_from_cumulative(
-                CumulativeVector(tuple(min(a, b) for a, b in zip(low, anchor)))
-            )
+            distribution_from_cumulative(tuple(min(a, b) for a, b in zip(low, anchor)))
         )
-        high = cumulative(random_rational_distribution(rng, n)).partial
+        high = cumulative(random_rational_distribution(rng, n))
         members.append(
-            distribution_from_cumulative(
-                CumulativeVector(tuple(max(a, b) for a, b in zip(high, anchor)))
-            )
+            distribution_from_cumulative(tuple(max(a, b) for a, b in zip(high, anchor)))
         )
     rng.shuffle(members)
     return DistTuple(tuple(members))

@@ -38,8 +38,9 @@ from hypothesis import strategies as st
 
 import emdkit
 
-from emdkit import InvalidNumber
+from emdkit import DomainError, InvalidNumber
 from emdkit.cli import build_parser, decimal_str, load_document, main
+from emdkit.selftest import run_selftest
 
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(emdkit.__file__).resolve().parents[1])
@@ -562,6 +563,18 @@ class TestSelftestCommand:
         assert code == 0
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["monge-exhaustive"] == "skip"
+
+    @pytest.mark.parametrize("budget", ["-1", "-1000"])
+    def test_negative_budget_is_a_usage_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--budget", budget])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --budget: must be a nonnegative integer, got {budget}" in err
+
+    def test_negative_budget_refused_by_the_library_runner(self):
+        with pytest.raises(DomainError, match="budget must be >= 0, got -1"):
+            run_selftest(budget=-1)
 
     def test_injected_corruption_fails(self, capsys):
         code, doc, _ = run_cli(capsys, "selftest", "--inject-cost-corruption")

@@ -182,6 +182,10 @@ class TestMongeCheck:
         with pytest.raises(BudgetExceeded):
             monge_check(9, 9, budget=10**6)
 
+    def test_negative_budget_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="budget must be >= 0, got -1"):
+            monge_check(2, 2, budget=-1)
+
     def test_violation_reported_in_lexicographic_order(self):
         # +3 on the diagonal cells (1,1) and (2,2) violates the inequality at
         # bases (1,1) and (2,2); the lexicographically first one is reported

@@ -27,6 +27,7 @@ import os
 import time
 import tracemalloc
 from fractions import Fraction as F
+from functools import partial
 from math import comb, factorial
 
 import numpy as np
@@ -35,17 +36,29 @@ from scipy.integrate import quad
 
 from emdkit import (
     BudgetExceeded,
+    Distribution,
+    DistTuple,
     DomainError,
+    GPolynomial,
     IndexOutOfRange,
     ThresholdExceeded,
+    TransportPlan,
     cdf_Fj,
+    column,
+    cost_counting,
+    epsilon,
     expected_emd_exact,
     expected_emd_quadrature,
     expected_emd_recursive,
+    g_derivative_at_one,
     gauss_legendre,
     integrand,
+    lee_weight,
+    lp_oracle_emd,
     mc_expected_emd,
+    monge_check,
     order_stat_cdf,
+    sample_simplex,
 )
 from emdkit.expectation import (
     DEFAULT_D_LIMIT,
@@ -487,6 +500,9 @@ def mc_workers(workers):
     return mc_expected_emd(2, 2, 10, 0, workers=workers)
 
 
+PAIR = DistTuple((Distribution((1, 0)), Distribution((0, 1))))
+
+
 @pytest.mark.parametrize(
     "function, args, culprit",
     [
@@ -511,6 +527,25 @@ def mc_workers(workers):
         (order_stat_cdf, (2.5, 2, 1, 1), "n"),
         (mc_workers, (True,), "workers"),
         (mc_workers, (2.5,), "workers"),
+        (lee_weight, (2.5, 4), "k"),
+        (lee_weight, (True, 2), "k"),
+        (lee_weight, (1, 4.0), "d"),
+        (epsilon, (1.5, 3), "i"),
+        (epsilon, (1, True), "d"),
+        (cost_counting, ((1, 2), 2.5), "n"),
+        (monge_check, (2.5, 2), "n"),
+        (monge_check, (True, 2), "n"),
+        (monge_check, (2, 2.0), "d"),
+        (partial(monge_check, budget=10.0), (2, 2), "budget"),
+        (partial(lp_oracle_emd, budget=True), (PAIR,), "budget"),
+        (column, (PAIR, True), "j"),
+        (column, (PAIR, 1.0), "j"),
+        (g_derivative_at_one, (GPolynomial(2, {1: 0}), 2.5), "k"),
+        (sample_simplex, (2.5, None), "n"),
+        (TransportPlan, (2.5, 2, {}), "n"),
+        (TransportPlan, (2, True, {}), "d"),
+        (GPolynomial, (2.5, {}), "d"),
+        (GPolynomial, (4, {1.0: 0}), "Lee weight"),
     ],
 )
 def test_bools_and_non_integers_refused(function, args, culprit):

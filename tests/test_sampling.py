@@ -13,6 +13,7 @@ Core claims:
       block reading a prefix of its stream
 """
 
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -142,6 +143,19 @@ class TestMcExpectedEmd:
         base = mc_expected_emd(2, 3, 4_001, seed=11)
         for workers in (2, 3, 4):
             assert mc_expected_emd(2, 3, 4_001, seed=11, workers=workers) == base
+
+    def test_workers_past_the_block_count_do_no_work(self):
+        # 1,000 samples of n=3, d=4 fill one block; a span per worker would
+        # cost time and memory in proportion to workers.
+        base = mc_expected_emd(3, 4, 1_000, 5)
+        tracemalloc.start()
+        try:
+            estimate = mc_expected_emd(3, 4, 1_000, 5, workers=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate == base
+        assert peak < 2**20
 
     def test_different_seeds_differ(self):
         assert mc_expected_emd(2, 3, 1_000, seed=1) != mc_expected_emd(

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from emdkit import (
-    CumulativeVector,
     DistTuple,
     Distribution,
     DomainError,
@@ -109,7 +108,14 @@ class TestValidateDistribution:
         assert isinstance(exc.value, DomainError)
 
     @pytest.mark.parametrize(
-        "masses", [(float("nan"), 1.0), (float("inf"), 0.0), (True, False), (1, False)]
+        "masses",
+        [
+            (float("nan"), 1.0),
+            (float("inf"), 0.0),
+            (True, False),
+            (1, False),
+            (Decimal("0.5"), Decimal("0.5")),
+        ],
     )
     def test_distribution_rejects_non_finite_and_bool(self, masses):
         with pytest.raises(InvalidNumber):
@@ -129,14 +135,14 @@ class TestValidateDistribution:
 class TestCumulative:
     def test_reference_row(self):
         d = validate_distribution(frac("0.2", "0.2", "0.2", "0.4"))
-        assert cumulative(d).partial == (F(1, 5), F(2, 5), F(3, 5))
+        assert cumulative(d) == (F(1, 5), F(2, 5), F(3, 5))
 
     def test_point_mass(self):
-        assert cumulative(Distribution((1, 0))).partial == (1,)
+        assert cumulative(Distribution((1, 0))) == (1,)
 
     def test_second_reference_row(self):
         d = validate_distribution(frac("0.3", "0.0", "0.4", "0.3"))
-        assert cumulative(d).partial == (F(3, 10), F(3, 10), F(7, 10))
+        assert cumulative(d) == (F(3, 10), F(3, 10), F(7, 10))
 
     def test_round_trip_is_identity(self, rng):
         for _ in range(200):
@@ -144,20 +150,23 @@ class TestCumulative:
             assert distribution_from_cumulative(cumulative(d)) == d
 
     def test_invariants_on_random_distributions(self, rng):
-        # construction of CumulativeVector itself enforces the invariants
         for _ in range(200):
             d = random_rational_distribution(rng, rng.randint(1, 6))
-            cv = cumulative(d)
-            assert all(0 <= v <= 1 for v in cv.partial)
-            assert all(a <= b for a, b in zip(cv.partial, cv.partial[1:]))
+            partial = cumulative(d)
+            assert all(0 <= v <= 1 for v in partial)
+            assert all(a <= b for a, b in zip(partial, partial[1:]))
 
     def test_decreasing_vector_rejected(self):
-        with pytest.raises(DomainError):
-            CumulativeVector((F(1, 2), F(1, 4)))
+        with pytest.raises(NegativeMass, match="site 2"):
+            distribution_from_cumulative((F(1, 2), F(1, 4)))
 
     def test_vector_above_one_rejected(self):
-        with pytest.raises(DomainError):
-            CumulativeVector((F(1, 2), F(3, 2)))
+        with pytest.raises(NegativeMass, match="site 3"):
+            distribution_from_cumulative((F(1, 2), F(3, 2)))
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(LengthTooShort):
+            distribution_from_cumulative(())
 
 
 class TestPartialSums:
@@ -170,7 +179,7 @@ class TestPartialSums:
                 lattice = xs.lattice
                 for x, partial in zip(xs.members, lattice.partial):
                     prefix = tuple(sum(x.mass[:j]) for j in range(1, n + 1))
-                    assert tuple(map(lattice.value, partial)) == cumulative(x).partial == prefix
+                    assert tuple(map(lattice.value, partial)) == cumulative(x) == prefix
 
     def test_partial_sums_outside_equality_hash_and_repr(self):
         a = Distribution((F(1, 4), F(3, 4)))
@@ -272,3 +281,11 @@ class TestDistTuple:
             DistTuple((a, [0.5, 0.5]))
         with pytest.raises(DomainError, match="member 1 is a tuple"):
             DistTuple(((F(1, 2), F(1, 2)), a))
+
+    def test_members_stored_as_a_tuple(self):
+        a = Distribution((F(1, 2), F(1, 2)))
+        b = Distribution((1, 0))
+        for members in ([a, b], (m for m in (a, b))):
+            xs = DistTuple(members)
+            assert xs.members == (a, b)
+            assert hash(xs) == hash(DistTuple((a, b)))

@@ -2,6 +2,8 @@
 
 Core claims:
     - every name in emdkit.__all__ resolves on the package
+    - every name in each re-exported module's __all__ imports from emdkit,
+      and emdkit.__all__ is exactly those lists, each name once
     - every function in perfbench's tracing.TRACED map exists in the module
       the tracer looks it up in, and every method in POLYNOMIAL_METHODS is
       defined on RationalPolynomial itself, so a deletion or rename surfaces
@@ -17,6 +19,8 @@ import pytest
 import emdkit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EXPORTED = ("simplex", "cost", "transport", "polynomial", "expectation", "sampling",
+            "cayley_menger", "errors")
 
 
 @pytest.fixture
@@ -29,6 +33,14 @@ def tracing(monkeypatch):
 def test_every_public_name_resolves():
     missing = [name for name in emdkit.__all__ if not hasattr(emdkit, name)]
     assert missing == []
+
+
+def test_every_module_name_imports_from_the_package():
+    names = [name for short in EXPORTED for name in importlib.import_module(f"emdkit.{short}").__all__]
+    missing = [name for name in names if not hasattr(emdkit, name)]
+    assert missing == []
+    assert emdkit.__all__ == ["__version__", *names]
+    assert len(set(names)) == len(names)
 
 
 def test_traced_functions_exist_where_the_tracer_looks(tracing):

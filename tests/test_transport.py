@@ -154,7 +154,7 @@ class TestSweepLabelsOnFloats:
             xs = DistTuple(
                 tuple(Distribution(tuple(float(m) for m in x.mass)) for x in exact)
             )
-            partials = [cumulative(member).partial for member in xs.members]
+            partials = [cumulative(member) for member in xs.members]
             sweep = sweep_plan(xs)
             for t, label in zip(sweep.cuts, sweep.labels):
                 assert label == tuple(
@@ -299,6 +299,11 @@ class TestLpOracle:
         xs = random_rational_tuple(__import__("random").Random(1), 4, 4)
         with pytest.raises(BudgetExceeded):
             lp_oracle_emd(xs, budget=100)
+
+    def test_negative_budget_is_a_domain_error(self):
+        xs = DistTuple((dist(1, 0), dist(0, 1)))
+        with pytest.raises(DomainError, match="budget must be >= 0, got -1"):
+            lp_oracle_emd(xs, budget=-1)
 
     @pytest.mark.parametrize(
         "rows",
