@@ -26,12 +26,11 @@ EMD is half its pairwise sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .cost import cost_deltas, lee_weight
-from .errors import DomainError, InvariantViolation, check_integer
+from .errors import DomainError, Frozen, InvariantViolation, check_integer
 from .simplex import DistTuple, Lattice, Scalar, is_exact
 
 __all__ = [
@@ -47,8 +46,7 @@ __all__ = [
 _FLOAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GPolynomial:
+class GPolynomial(Frozen):
     """Gap polynomial of a tuple: coefficient per Lee weight 1..floor(d/2)."""
 
     d: int
@@ -69,8 +67,7 @@ class GPolynomial:
         return is_exact(tuple(self.coeffs.values()))
 
 
-@dataclass(frozen=True)
-class CmReport:
+class CmReport(Frozen):
     """The pairwise decomposition of a tuple's EMD.
 
     ``(d-1) * emd == obstruction + pairwise_sum`` holds exactly on the

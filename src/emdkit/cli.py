@@ -16,19 +16,18 @@ denominator beyond MAX_RENDER_BITS) is refused as over budget.
 
 Exit codes: 0 success, 1 parse/validation, 2 budget/threshold (including a
 result too long to render), 3 internal invariant violation or a failed
-selftest.
+selftest.  A reader that closes the pipe early does not change the code: the
+rest of the output is dropped without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -39,6 +38,7 @@ from .cost import cost_counting, cost_deltas, cost_epsilon
 from .errors import (
     BudgetExceeded,
     EmdError,
+    Frozen,
     InvalidNumber,
     InvariantViolation,
     ParseError,
@@ -52,7 +52,6 @@ from .expectation import (
     ExpectationResult,
 )
 from .sampling import mc_expected_emd
-from .selftest import run_selftest
 from .simplex import DistTuple, validate_distribution
 from .transport import barycenter, emd, greedy_plan, plan_objective, sweep_plan
 
@@ -78,8 +77,7 @@ _DIGITS = r"\d(?:_?\d)*"
 _EXPONENT_FORM = rf"[+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})[eE][+-]?{_DIGITS}"
 
 
-@dataclass(frozen=True)
-class TupleDocument:
+class TupleDocument(Frozen):
     """A parsed input document: the tuple plus a digest of the exact values."""
 
     xs: DistTuple
@@ -162,6 +160,8 @@ def _document_from_rows(rows: list[list[Fraction]], n: Optional[int]) -> TupleDo
         {"n": xs.n, "distributions": [[str(m) for m in row] for row in rows]},
         separators=(",", ":"),
     )
+    import hashlib
+
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     return TupleDocument(xs=xs, digest=digest)
 
@@ -191,6 +191,8 @@ def _parse_json_document(text: str) -> TupleDocument:
 
 
 def _parse_csv_document(text: str) -> TupleDocument:
+    import csv
+
     reader = csv.reader(io.StringIO(text))
     raw_rows = [row for row in reader if any(cell.strip() for cell in row)]
     if not raw_rows:
@@ -424,6 +426,8 @@ def _cmd_cost(args: argparse.Namespace) -> dict:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> dict:
+    from .selftest import run_selftest
+
     results, passed = run_selftest(budget=args.budget, corrupt=args.inject_cost_corruption)
     return {
         "command": "selftest",
@@ -545,10 +549,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EmdError as exc:
         print(f"emdkit: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(result, indent=2))
-    if result.get("command") == "selftest" and not result["passed"]:
-        return 3
-    return 0
+    code = 3 if result.get("command") == "selftest" and not result["passed"] else 0
+    try:
+        print(json.dumps(result, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; pointing stdout at devnull keeps the flush at
+        # interpreter exit from raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

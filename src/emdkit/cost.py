@@ -29,14 +29,13 @@ entries in coordinate pairs suffices for the full property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetExceeded, DomainError, IndexOutOfRange, check_integer
+from .errors import BudgetExceeded, DomainError, Frozen, IndexOutOfRange, check_integer
 from .simplex import Scalar
 
 __all__ = [
@@ -111,8 +110,7 @@ def cost_counting(y: Sequence[int], n: int) -> int:
     return sum(lee_weight(sum(1 for v in y if v > j), d) for j in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class MongeViolation:
+class MongeViolation(Frozen):
     """First adjacent-entry inequality that failed, in lexicographic order.
 
     ``coords`` are the two varied coordinates (1-based), ``base`` the position
@@ -126,8 +124,7 @@ class MongeViolation:
     rhs: Scalar
 
 
-@dataclass(frozen=True)
-class MongeReport:
+class MongeReport(Frozen):
     n: int
     d: int
     checks: int

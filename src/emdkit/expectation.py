@@ -54,7 +54,6 @@ cross-check.  Three evaluation routes:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -66,6 +65,7 @@ from .cost import cost_epsilon, lee_weight
 from .errors import (
     BudgetExceeded,
     DomainError,
+    Frozen,
     IndexOutOfRange,
     ThresholdExceeded,
     check_integer,
@@ -131,8 +131,7 @@ def exact_threshold() -> int:
         raise DomainError(f"{THRESHOLD_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
+class ExpectationResult(Frozen):
     """An expected-EMD value with its provenance.
 
     ``normalized`` divides by the maximum possible EMD, n * floor(d/2),

@@ -8,9 +8,10 @@ polynomial has an empty coefficient tuple (degree -1 by convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .errors import Frozen
 
 __all__ = ["RationalPolynomial"]
 
@@ -24,8 +25,7 @@ def _trim(coeffs: tuple[_Exact, ...]) -> tuple[_Exact, ...]:
     return coeffs[:k]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(Frozen):
     coeffs: tuple[_Exact, ...]
 
     def __init__(self, coeffs: Iterable[_Exact] = ()) -> None:

@@ -22,11 +22,10 @@ substream per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, DomainError, check_integer
+from .errors import BudgetExceeded, DomainError, Frozen, check_integer
 from .simplex import Distribution
 
 if TYPE_CHECKING:
@@ -44,8 +43,7 @@ _BLOCK_UNIFORMS = 2**16
 DEFAULT_SAMPLE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Frozen):
     mean: float
     stderr: float
     samples: int

@@ -24,7 +24,6 @@ Indices in docstrings are 1-based (sites run 1..n+1, cumulative columns
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -34,6 +33,7 @@ from typing import Sequence, Union
 from .errors import (
     DimensionMismatch,
     DomainError,
+    Frozen,
     IndexOutOfRange,
     InvalidNumber,
     LengthTooShort,
@@ -107,8 +107,7 @@ def _sum_text(total: Union[int, Fraction]) -> str:
     return f"about {value} (numerator or denominator of about {int(bits * log10(2)) + 1} digits)"
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Frozen):
     """A point of the standard n-simplex, stored as its n+1 masses."""
 
     mass: tuple[Scalar, ...]
@@ -144,8 +143,7 @@ class Distribution:
         return is_exact(self.mass)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """A tuple's masses and partial sums as integers over one denominator.
 
     ``scale`` is the lcm of every mass's denominator, or 1 when any member
@@ -181,8 +179,7 @@ def _lattice(members: Sequence[Distribution]) -> Lattice:
     return Lattice(scale, exact, mass, tuple(tuple(accumulate(row[:-1])) for row in mass))
 
 
-@dataclass(frozen=True)
-class DistTuple:
+class DistTuple(Frozen):
     """An ordered d-tuple of distributions on a common ground space.
 
     ``lattice`` is built on first use and kept; it takes no part in

@@ -28,7 +28,6 @@ mixed tuples run the same code at D = 1 on their own values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from math import lcm
@@ -40,6 +39,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     DomainError,
+    Frozen,
     IndexOutOfRange,
     InvalidNumber,
     InvariantViolation,
@@ -66,8 +66,7 @@ __all__ = [
 _SNAP = 1e-12
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(Frozen):
     """A sparse transport plan: positive mass per site tuple in {1..n+1}^d.
 
     Zero entries are omitted; plans produced here have at most d*n + 1
@@ -107,8 +106,7 @@ class TransportPlan:
         return is_exact(tuple(self.entries.values()))
 
 
-@dataclass(frozen=True)
-class Breakpoints:
+class Breakpoints(Frozen):
     """The interval sweep of [0, 1): cut points and per-interval site tuples.
 
     ``cuts`` is strictly increasing and starts at 0; interval k is

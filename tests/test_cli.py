@@ -19,7 +19,11 @@ Core claims:
       (beyond 14284 bits, about 4,300 digits) is refused as over budget
       (exit 2) with the field named, before any string is built
     - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, 3 internal
-      invariant violation or a failed selftest
+      invariant violation or a failed selftest; arbitrary argv lists of small
+      words always end in one of them, and a reader that closes the pipe
+      leaves the code unchanged, with no traceback
+    - a self-test budget too small for the exhaustive Monge grid skips that
+      check rather than failing it
 """
 
 import io
@@ -337,6 +341,50 @@ class TestDocumentFuzz:
         assert code in {0, 1, 2, 3}
 
 
+_WORDS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "1e3", "nan", "0.5", "1/3", "x", ""])
+_PATHS = st.sampled_from([GOLDEN_JSON, GOLDEN_CSV, str(DATA / "missing.json")])
+_FLAGS = {
+    "emd": ["--plan", "--barycenter", "--digits"],
+    "plan": ["--digits"],
+    "decompose": ["--digits"],
+    "expected": ["--method", "exact", "recursive", "quadrature", "mc", "--samples",
+                 "--seed", "--nodes", "--normalized", "--digits"],
+    "cost": ["--sites", "--digits"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command with up to six words: documents, its flags and small numeric text."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    words = [_WORDS, st.sampled_from(_FLAGS[command])]
+    if command in ("emd", "plan", "decompose"):
+        words.append(_PATHS)
+    return [command, *draw(st.lists(st.one_of(words), max_size=6))]
+
+
+class TestArgvFuzz:
+    """Every number a word can be is at most 1000, so no example starts a long run."""
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(argv=_argv())
+    def test_argv_ends_in_an_exit_code(self, argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error from the parser
+                code = exc.code
+        assert code in {0, 1, 2, 3}
+        assert "Traceback" not in err.getvalue()
+
+
 class TestEmdCommand:
     def test_reference_document(self, capsys):
         code, doc, _ = run_cli(capsys, "emd", GOLDEN_JSON)
@@ -572,6 +620,17 @@ class TestSelftestCommand:
         err = capsys.readouterr().err
         assert f"argument --budget: must be a nonnegative integer, got {budget}" in err
 
+    def test_budget_below_the_grid_skips_exhaustive(self, capsys):
+        code, doc, _ = run_cli(capsys, "selftest", "--budget", "5")
+        assert code == 0
+        assert doc["passed"] is True
+        monge = next(c for c in doc["checks"] if c["name"] == "monge-exhaustive")
+        assert monge == {
+            "name": "monge-exhaustive",
+            "status": "skip",
+            "detail": "(n+1)^d = 8 cells / 6 adjacent pairs exceed budget 5",
+        }
+
     def test_negative_budget_refused_by_the_library_runner(self):
         with pytest.raises(DomainError, match="budget must be >= 0, got -1"):
             run_selftest(budget=-1)
@@ -622,6 +681,31 @@ class TestParserAndRendering:
         )
         assert result.returncode == 0
         assert "emdkit" in result.stdout
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["emd", GOLDEN_JSON, "--plan", "--barycenter"], 0),
+            (["selftest", "--inject-cost-corruption"], 3),
+        ],
+    )
+    def test_closed_pipe_keeps_the_exit_code(self, argv, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader is gone before the command writes anything
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "emdkit.cli", *argv],
+                stdout=writer,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(writer)
+        assert result.returncode == code
+        assert result.stderr == ""
 
     def test_invariant_violation_exits_three(self, capsys, monkeypatch):
         # unreachable through honest inputs; exercise the mapping directly

@@ -1,12 +1,15 @@
-"""Which commands load numpy and scipy.
+"""Which commands load numpy, scipy and the heavier standard-library modules.
 
 Core claims:
     - the exact-path commands (emd, plan, decompose, cost and the default
-      exact expected) run without importing numpy or scipy
-    - the quadrature and Monte Carlo routes still import and use them
+      exact expected) run without importing numpy or scipy, and without
+      dataclasses or inspect
+    - cost and expected, which read no document, load neither hashlib (the
+      document digest) nor csv (the CSV reader)
+    - the quadrature and Monte Carlo routes still import and use numpy and scipy
 
-The pytest process has numpy loaded already, so each check runs in a fresh
-interpreter.
+The pytest process has these modules loaded already, so each check runs in a
+fresh interpreter.
 """
 
 import json
@@ -28,7 +31,8 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+watched = ("csv", "dataclasses", "hashlib", "inspect", "numpy", "scipy")
+loaded = sorted(m for m in watched if m in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -56,7 +60,12 @@ def test_exact_commands_never_load_numpy_or_scipy():
             ["expected", "8", "10"],
         ]
     )
-    assert out == {"codes": [0, 0, 0, 0, 0], "loaded": []}
+    assert out == {"codes": [0, 0, 0, 0, 0], "loaded": ["hashlib"]}
+
+
+def test_commands_without_a_document_load_no_digest_or_csv_reader():
+    out = run_fresh([["cost", "0.1", "0.5", "0.9"], ["expected", "8", "10"]])
+    assert out == {"codes": [0, 0], "loaded": []}
 
 
 def test_float_routes_still_load_them():
@@ -66,4 +75,5 @@ def test_float_routes_still_load_them():
             ["expected", "6", "4", "--method", "mc", "--samples", "200"],
         ]
     )
-    assert out == {"codes": [0, 0], "loaded": ["numpy", "scipy"]}
+    assert out["codes"] == [0, 0]
+    assert {"numpy", "scipy"} <= set(out["loaded"])
