@@ -120,18 +120,17 @@ def _parse_scalar(value: object, where: str) -> Fraction:
         raise InvalidNumber(f"{where}: {value!r} is not finite")
     if isinstance(value, (int, Fraction)):
         fraction = Fraction(value)
-    elif isinstance(value, str):
-        text = value.strip()
-        # A decimal's exponent is bounded before Fraction builds 10**exponent.
-        number = None if "/" in text else _bounded_decimal(value, where)
+    elif isinstance(value, str) and "/" in value:
         try:
-            fraction = Fraction(text)
+            fraction = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            if number is None:
-                raise ParseError(f"{where}: cannot parse scalar {value!r}") from None
-            if not number.is_finite():
-                raise InvalidNumber(f"{where}: {value!r} is not finite") from None
-            fraction = Fraction(number)
+            raise ParseError(f"{where}: cannot parse scalar {value!r}") from None
+    elif isinstance(value, str):
+        # The exponent is bounded before Fraction builds 10**exponent.
+        number = _bounded_decimal(value, where)
+        if not number.is_finite():
+            raise InvalidNumber(f"{where}: {value!r} is not finite")
+        fraction = Fraction(number)
     else:
         raise ParseError(f"{where}: cannot parse scalar {value!r}")
     return _bounded_size(fraction, where, "a value")
@@ -256,8 +255,7 @@ def decimal_str(value, digits: int) -> str:
         return str(Decimal(frac.numerator) / Decimal(frac.denominator))
 
 
-def _plan_block(plan, digits: int) -> dict:
-    objective = plan_objective(plan)
+def _plan_block(plan, objective, digits: int) -> dict:
     return {
         "entries": [
             {"y": list(y), "mass": exact_str(mass, f"plan.entries[{k}].mass")}
@@ -294,13 +292,14 @@ def _cmd_emd(args: argparse.Namespace) -> dict:
     }
     if args.plan or args.barycenter:
         plan = greedy_plan(xs)
+        objective = plan_objective(plan)
         if args.plan:
-            result["plan"] = _plan_block(plan, args.digits)
+            result["plan"] = _plan_block(plan, objective, args.digits)
         if args.barycenter:
             center = barycenter(xs, plan)
             result["barycenter"] = {
                 "mass": [exact_str(m, f"barycenter.mass[{k}]") for k, m in enumerate(center.mass)],
-                "cost": exact_str(plan_objective(plan), "barycenter.cost"),
+                "cost": exact_str(objective, "barycenter.cost"),
             }
     return result
 
@@ -313,7 +312,7 @@ def _cmd_plan(args: argparse.Namespace) -> dict:
     return {
         "command": "plan",
         "input": {"n": xs.n, "d": xs.d, "digest": doc.digest},
-        "plan": _plan_block(plan, args.digits),
+        "plan": _plan_block(plan, plan_objective(plan), args.digits),
         "breakpoints": {
             "cuts": [exact_str(c, f"breakpoints.cuts[{k}]") for k, c in enumerate(sweep.cuts)],
             "labels": [list(label) for label in sweep.labels],
@@ -525,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the built-in verification suites")
     p.add_argument(
         "--budget", type=_int_at_least(0, "nonnegative"), default=10**6,
-        help="0 skips exhaustive checks",
+        help="0 skips the exhaustive Monge check",
     )
     p.add_argument(
         "--inject-cost-corruption", action="store_true", help=argparse.SUPPRESS

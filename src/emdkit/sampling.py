@@ -12,11 +12,9 @@ the counter-based Philox substream keyed by (seed, b) (Salmon et al.,
 (count, d, n) array of uniforms from it in one call; a short last block
 draws a prefix of its stream.  Sorting along sites gives every member's
 cumulative vector, sorting along members gives the order statistics of every
-column, and the Lee-weighted gaps sum to each sample's EMD.  ``workers``
-spans are cut on block boundaries, so the per-sample value array is
-identical however the range is split, and the reduction runs over that
-array in one fixed order.  The spans run one after another in this process;
-nothing runs in parallel.  Values differ from releases that keyed one
+column, and the Lee-weighted gaps sum to each sample's EMD.  The blocks run
+in order in the calling thread and the reduction runs over the per-sample
+values in one fixed order.  Values differ from releases that keyed one
 substream per sample.
 """
 
@@ -41,6 +39,13 @@ _BLOCK_UNIFORMS = 2**16
 
 #: Most samples one Monte Carlo estimate draws.
 DEFAULT_SAMPLE_LIMIT = 10**6
+
+#: Most uniforms one estimate draws (samples * d * n); the largest admitted
+#: calls took 1.8-3.5 s of CPU and at most 180 MB on a 2-vCPU guest.
+UNIFORM_LIMIT = 2**26
+
+#: Most uniforms one sample draws (d * n), so one block stays at 32 MB.
+SAMPLE_UNIFORM_LIMIT = 2**22
 
 
 class McEstimate(Frozen):
@@ -85,14 +90,12 @@ def mc_expected_emd(
     """Mean and standard error of the EMD over independent uniform d-tuples.
 
     Deterministic given (n, d, samples, seed), with seed in [0, 2^64) (the
-    Philox key's high word): identical bits regardless of
-    ``workers``, which only splits the run's blocks into that many spans (at
-    most one per block), cut on block boundaries and run one after another
-    in the calling thread (nothing runs in parallel).
-    At most ``DEFAULT_SAMPLE_LIMIT`` samples.
+    Philox key's high word).  ``workers`` must be a positive integer and
+    changes neither the bits nor the work: every block runs in the calling
+    thread.  At most ``DEFAULT_SAMPLE_LIMIT`` samples, ``SAMPLE_UNIFORM_LIMIT``
+    uniforms per sample and ``UNIFORM_LIMIT`` in all; more raise
+    :class:`BudgetExceeded` before any array is allocated.
     """
-    import numpy as np
-
     n, d = check_integer("n", n), check_integer("d", d)
     samples, seed = check_integer("samples", samples), check_integer("seed", seed)
     workers = check_integer("workers", workers)
@@ -102,23 +105,31 @@ def mc_expected_emd(
         raise DomainError(f"mc_expected_emd needs samples >= 2, got {samples}")
     if samples > DEFAULT_SAMPLE_LIMIT:
         raise BudgetExceeded(f"{samples} samples exceed limit {DEFAULT_SAMPLE_LIMIT}")
+    if d * n > SAMPLE_UNIFORM_LIMIT:
+        raise BudgetExceeded(
+            f"a sample of d*n = {d * n} uniforms exceeds the per-sample limit "
+            f"{SAMPLE_UNIFORM_LIMIT}"
+        )
+    if samples * d * n > UNIFORM_LIMIT:
+        raise BudgetExceeded(
+            f"{samples} samples of d*n = {d * n} uniforms ({samples * d * n} in all) "
+            f"exceed limit {UNIFORM_LIMIT}"
+        )
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 
+    import numpy as np
+
     k = np.arange(1, d, dtype=np.float64)
     wt = np.minimum(k, d - k)
 
     size = max(1, _BLOCK_UNIFORMS // (d * n))
-    blocks = -(-samples // size)
-    workers = min(workers, blocks)  # a span past the last block would be empty
-    bounds = [round(blocks * w / workers) for w in range(workers + 1)]
     values = np.concatenate(
         [
             _block_emds(n, d, seed, b, min(size, samples - b * size), wt)
-            for lo, hi in zip(bounds, bounds[1:])
-            for b in range(lo, hi)
+            for b in range(-(-samples // size))
         ]
     )
 

@@ -23,7 +23,8 @@ Core claims:
       words always end in one of them, and a reader that closes the pipe
       leaves the code unchanged, with no traceback
     - a self-test budget too small for the exhaustive Monge grid skips that
-      check rather than failing it
+      check rather than failing it; the injected-corruption control runs and
+      fails whatever the budget
 """
 
 import io
@@ -548,13 +549,17 @@ class TestExpectedCommand:
     @pytest.mark.parametrize(
         "argv, culprit",
         [
-            (["--method", "mc", "--samples", "1000000000000"], "samples exceed limit"),
-            (["--method", "quadrature", "--nodes", "1000000000000"], "nodes exceed limit"),
+            (["3", "4", "--method", "mc", "--samples", "1000000000000"], "samples exceed limit"),
+            (["3", "4", "--method", "quadrature", "--nodes", "1000000000000"], "nodes exceed limit"),
+            (["1000000000", "2", "--method", "mc", "--samples", "2"],
+             "a sample of d*n = 2000000000 uniforms exceeds the per-sample limit"),
+            (["1000", "100", "--method", "mc"],
+             "100000 samples of d*n = 100000 uniforms (10000000000 in all) exceed limit"),
         ],
-        ids=["samples", "nodes"],
+        ids=["samples", "nodes", "sample-uniforms", "uniforms"],
     )
     def test_work_budget_exit_code(self, capsys, argv, culprit):
-        code, doc, err = run_cli(capsys, "expected", "3", "4", *argv)
+        code, doc, err = run_cli(capsys, "expected", *argv)
         assert code == 2
         assert doc is None
         assert culprit in err
@@ -574,6 +579,12 @@ class TestCostCommand:
         assert code == 0
         assert doc["exact"]["cost"] == "3"
         assert doc["forms"]["site_counting"] == "3"
+
+    def test_site_count_past_the_counting_limit_exits_two(self, capsys):
+        code, doc, err = run_cli(capsys, "cost", "1", "2", "--sites", "100000000000000000000")
+        assert code == 2
+        assert doc is None
+        assert "site counting over n = 100000000000000000000 sites" in err
 
     def test_single_value_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "cost", "1")
@@ -642,6 +653,18 @@ class TestSelftestCommand:
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["monge-with-injected-corruption"] == "fail"
 
+    @pytest.mark.parametrize("budget", ["0", "5"])
+    def test_injected_corruption_fails_below_the_grid(self, capsys, budget):
+        code, doc, err = run_cli(
+            capsys, "selftest", "--budget", budget, "--inject-cost-corruption"
+        )
+        assert code == 3
+        assert err == ""
+        assert doc["passed"] is False
+        statuses = {c["name"]: c["status"] for c in doc["checks"]}
+        assert statuses["monge-exhaustive"] == "skip"
+        assert statuses["monge-with-injected-corruption"] == "fail"
+
 
 class TestParserAndRendering:
     def test_usage_error_exits_one(self):
@@ -687,6 +710,8 @@ class TestParserAndRendering:
         [
             (["emd", GOLDEN_JSON, "--plan", "--barycenter"], 0),
             (["selftest", "--inject-cost-corruption"], 3),
+            (["selftest", "--budget", "0", "--inject-cost-corruption"], 3),
+            (["selftest", "--budget", "5", "--inject-cost-corruption"], 3),
         ],
     )
     def test_closed_pipe_keeps_the_exit_code(self, argv, code):

@@ -28,6 +28,7 @@ from emdkit import (
     lee_weight,
     monge_check,
 )
+from emdkit.cost import COUNTING_LIMIT
 
 
 class TestLeeWeight:
@@ -120,6 +121,11 @@ class TestCostForms:
             cost_counting([0, 1], 3)
         with pytest.raises(DomainError):
             cost_counting([1, 5], 3)
+
+    @pytest.mark.parametrize("y, n", [((1, 2), COUNTING_LIMIT // 2 + 1), ((1, 2, 3), 10**20)])
+    def test_counting_form_refuses_past_its_limit(self, y, n):
+        with pytest.raises(BudgetExceeded, match=f"site counting over n = {n} sites"):
+            cost_counting(y, n)
 
     @pytest.mark.parametrize("y", [(True, 2), (2, False)])
     def test_counting_form_refuses_bool_sites(self, y):

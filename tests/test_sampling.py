@@ -5,14 +5,16 @@ Core claims:
       documented Beta marginals (means j/(n+1), CDF matching cdf_Fj)
     - mc_expected_emd is bit-reproducible, invariant under worker
       partitioning, and lands within 3 standard errors of the exact value;
-      a sample count beyond DEFAULT_SAMPLE_LIMIT and a seed outside
-      [0, 2^64) are refused up front
+      a sample count beyond DEFAULT_SAMPLE_LIMIT, more uniforms than
+      SAMPLE_UNIFORM_LIMIT per sample or UNIFORM_LIMIT in all, and a seed
+      outside [0, 2^64) are refused up front
     - the block kernel gives every sample the value of the per-sample
       formula (sort each member, sort each column, Lee-weight the gaps) on
       its (d, n) slice of the block's (seed, block) substream, a short last
       block reading a prefix of its stream
 """
 
+import re
 import tracemalloc
 from math import sqrt
 
@@ -27,7 +29,13 @@ from emdkit import (
     mc_expected_emd,
     sample_simplex,
 )
-from emdkit.sampling import _BLOCK_UNIFORMS, DEFAULT_SAMPLE_LIMIT, _block_emds
+from emdkit.sampling import (
+    _BLOCK_UNIFORMS,
+    DEFAULT_SAMPLE_LIMIT,
+    SAMPLE_UNIFORM_LIMIT,
+    UNIFORM_LIMIT,
+    _block_emds,
+)
 
 
 def fresh_rng(seed=123):
@@ -186,6 +194,26 @@ class TestMcExpectedEmd:
             mc_expected_emd(3, 4, DEFAULT_SAMPLE_LIMIT + 1, seed=0)
         with pytest.raises(BudgetExceeded):
             mc_expected_emd(3, 4, 10**12, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, d, samples, culprit",
+        [
+            (10**9, 2, 2, "per-sample limit"),
+            (10**7, 10, 10**6, "per-sample limit"),
+            (1, SAMPLE_UNIFORM_LIMIT + 1, 2, "per-sample limit"),
+            (64, 64, UNIFORM_LIMIT // 4096 + 1, f"in all) exceed limit {UNIFORM_LIMIT}"),
+        ],
+    )
+    def test_uniform_budget_refused_before_any_array(self, n, d, samples, culprit):
+        # Admitted, the first shape would ask for a 15 GiB block in one call.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=re.escape(culprit)):
+                mc_expected_emd(n, d, samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits_rejected(self, seed):
