@@ -71,10 +71,10 @@ MAX_EXACT_BITS = 6644
 #: A result's denominator can grow to the product of every row's.
 MAX_RENDER_BITS = 14284
 
+#: Finite decimal syntax, underscores only singly between digits as in
+#: Python literals (Decimal takes them anywhere); group 1 is the exponent.
 _DIGITS = r"\d(?:_?\d)*"
-#: Decimal syntax with an exponent, which Decimal refuses only for range;
-#: compiled on first use, since only a refused decimal needs it.
-_EXPONENT_FORM = rf"[+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})[eE][+-]?{_DIGITS}"
+_DECIMAL_FORM = rf"[+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})([eE][+-]?{_DIGITS})?"
 
 
 class TupleDocument(Frozen):
@@ -87,10 +87,13 @@ class TupleDocument(Frozen):
 def _bounded_decimal(value: str, where: str) -> Decimal:
     """Parse a decimal, refusing an exponent beyond +-MAX_DECIMAL_EXPONENT."""
     text = value.strip()
+    if "_" in text and not re.fullmatch(_DECIMAL_FORM, text):
+        raise ParseError(f"{where}: cannot parse scalar {value!r}")
     try:
         number = Decimal(text)
     except InvalidOperation as exc:
-        if re.fullmatch(_EXPONENT_FORM, text):  # an exponent beyond Decimal's own range
+        form = re.fullmatch(_DECIMAL_FORM, text)
+        if form and form[1]:  # an exponent beyond Decimal's own range
             raise InvalidNumber(
                 f"{where}: cannot parse scalar {value!r}: its decimal exponent "
                 f"is beyond +-{MAX_DECIMAL_EXPONENT}"
@@ -367,7 +370,7 @@ def _cmd_expected(args: argparse.Namespace) -> dict:
         res = ExpectationResult(n=n, d=d, value=value, method="recursion")
         result["method"] = {"name": "recursive"}
     elif args.method == "quadrature":
-        res = expected_emd_quadrature(n, d, nodes=args.nodes)
+        res = expected_emd_quadrature(n, d)
         result["method"] = {"name": "quadrature", "nodes": res.nodes, "error_estimate": res.error}
     else:  # mc
         estimate = mc_expected_emd(n, d, args.samples, args.seed)
@@ -501,10 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=100_000, help="mc sample count")
     p.add_argument("--seed", type=int, default=0, help="mc seed")
-    p.add_argument(
-        "--nodes", type=int, default=None,
-        help="quadrature starting node count per half-window",
-    )
     p.add_argument(
         "--normalized", action="store_true",
         help="also report value / (n * floor(d/2))",

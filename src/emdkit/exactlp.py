@@ -14,27 +14,18 @@ artificials are driven out), turns every other row i, the objective row
 included, into ``(p*T[i][j] - T[i][c]*T[r][j]) // det`` -- an exact division
 by Sylvester's identity -- and sets ``det = p``.  Row r stays as it is.
 
-Inputs become integers by scaling columns: each structural column by the lcm
-of its denominators, the right-hand side by the lcm of its denominators, and
-the costs of the scaled columns by the lcm of theirs.  A positive scale on a
-column leaves every reduced-cost sign and every ratio comparison unchanged,
-and the artificial columns keep the identity start, so the pivot sequence,
-the value and the vertex are those of the same simplex over fractions.
+A, b and c hold ints: the one caller, ``lp_oracle_emd``, poses its program
+over the lattice's D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import Infeasible, Unbounded
 
 __all__ = ["solve_min"]
-
-
-def _rationals(values: Sequence) -> list:
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, det: int) -> int:
@@ -95,33 +86,20 @@ def _optimize(
 
 
 def solve_min(
-    a: Sequence[Sequence[Fraction | int]],
-    b: Sequence[Fraction | int],
-    c: Sequence[Fraction | int],
+    a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]
 ) -> tuple[Fraction, list[Fraction]]:
-    """Return (optimal value, an optimal vertex) of min c.x, A x = b, x >= 0."""
+    """Return (optimal value, an optimal vertex) of min c.x, A x = b, x >= 0; all ints."""
     m = len(a)
     nv = len(c)
-    rows = [_rationals(row) for row in a]
-    rhs = _rationals(b)
-    scales = [lcm(*{row[j].denominator for row in rows}) for j in range(nv)]
-    rhs_scale = lcm(*{v.denominator for v in rhs})
-    costs = [ci * s for ci, s in zip(_rationals(c), scales)]
-    cost_scale = lcm(*{v.denominator for v in costs})
-    costs = [v.numerator * (cost_scale // v.denominator) for v in costs]
 
     # Tableau columns: nv structural, m artificial, rhs; a row with negative
     # rhs is negated.  Artificials form the starting basis.
     tableau: list[list[int]] = []
-    for r, row in enumerate(rows):
-        sign = -1 if rhs[r] < 0 else 1
+    for r, row in enumerate(a):
+        sign = -1 if b[r] < 0 else 1
         art = [0] * m
         art[r] = 1
-        tableau.append(
-            [sign * v.numerator * (s // v.denominator) for v, s in zip(row, scales)]
-            + art
-            + [sign * rhs[r].numerator * (rhs_scale // rhs[r].denominator)]
-        )
+        tableau.append([sign * v for v in row] + art + [sign * b[r]])
     basis = [nv + r for r in range(m)]
 
     infeasibility, det = _optimize(tableau, basis, [0] * nv + [1] * m, 1)
@@ -142,13 +120,12 @@ def solve_min(
             det = _pivot(tableau, basis, r, col, det)
     tableau = [row[:nv] + row[-1:] for row in tableau]
 
-    _, det = _optimize(tableau, basis, costs, det)
+    _, det = _optimize(tableau, basis, c, det)
 
-    # Basic variable j is T[r][-1] / det in scaled units, scales[j] / rhs_scale
-    # times that in the caller's.
+    # Basic variable j is T[r][-1] / det.
     solution = [Fraction(0)] * nv
     total = 0
     for r, var in enumerate(basis):
-        solution[var] = Fraction(tableau[r][-1] * scales[var], det * rhs_scale)
-        total += costs[var] * tableau[r][-1]
-    return Fraction(total, det * rhs_scale * cost_scale), solution
+        solution[var] = Fraction(tableau[r][-1], det)
+        total += c[var] * tableau[r][-1]
+    return Fraction(total, det), solution

@@ -93,8 +93,8 @@ THRESHOLD_ENV_VAR = "EMDKIT_EXACT_THRESHOLD"
 DEFAULT_STATE_LIMIT = 1_000_000
 
 #: Most Gauss-Legendre nodes generated; the Newton sweep costs O(nodes^2).
-#: On the quadrature route it caps the per-half-window count G: the
-#: starting ``nodes`` and every doubling of it.
+#: On the quadrature route it caps every doubling of the per-half-window
+#: count G.
 DEFAULT_NODE_LIMIT = 2**15
 
 #: Most column-node evaluations (three ``betainc`` values each) that one
@@ -422,7 +422,7 @@ def _windowed_sum(d: int, columns: tuple[np.ndarray, ...], x: np.ndarray, w: np.
     return total
 
 
-def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> ExpectationResult:
+def expected_emd_quadrature(n: int, d: int) -> ExpectationResult:
     """Expected EMD by windowed Gauss-Legendre quadrature of the integrand.
 
     u = F_j(z) is the regularized incomplete beta function I_z(j, n-j+1),
@@ -441,18 +441,18 @@ def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> Expecta
     per column.  The window is split at the column median, where u = 1/2
     and phi_d bends most, and each half gets G Gauss-Legendre nodes,
     evaluated over chunks of columns so that memory stays bounded at any n.
-    G starts at ``nodes`` (default 64) and doubles until two successive
-    totals agree within 1e-14 relative, or until it reaches
+    G starts at 64, the count ``DEFAULT_D_LIMIT`` assumes, and doubles until
+    two successive totals agree within 1e-14 relative, or until it reaches
     (d*n + 2) // 2, where the rule is exact for the degree-d*n integrand on
-    any interval; no pass uses more than that count.  The result's
-    ``nodes`` is the final G and ``error`` the last successive difference,
-    0.0 when the exact count ended the loop.  Before each pass, the
-    column-node evaluations needed to finish (a first pass below the exact
-    count needs the second) are checked against ``DEFAULT_WORK_LIMIT`` for
-    the whole call, and ``BudgetExceeded`` is raised before the pass when
-    they would pass it, as it is for a G above ``DEFAULT_NODE_LIMIT`` and
-    for d above ``DEFAULT_D_LIMIT``, past which two passes can agree on a
-    value that misses phi_d's bend at u = 1/2.
+    any interval; no pass uses more than that count.  The result's ``nodes``
+    is the final G and ``error`` the last successive difference, 0.0 when
+    the exact count ended the loop.  Before each pass, the column-node
+    evaluations needed to finish (a first pass below the exact count needs
+    the second) are checked against ``DEFAULT_WORK_LIMIT`` for the whole
+    call, and ``BudgetExceeded`` is raised before the pass when they would
+    pass it, as it is for a G above ``DEFAULT_NODE_LIMIT`` and for d above
+    ``DEFAULT_D_LIMIT``, past which two passes can agree on a value that
+    misses phi_d's bend at u = 1/2.
     """
     n, d = check_integer("n", n), check_integer("d", d)
     if n < 1 or d < 2:
@@ -460,7 +460,7 @@ def expected_emd_quadrature(n: int, d: int, nodes: int | None = None) -> Expecta
     if d > DEFAULT_D_LIMIT:
         raise BudgetExceeded(f"quadrature at d={d} exceeds limit {DEFAULT_D_LIMIT}")
     exact_nodes = (d * n + 2) // 2
-    g = min(_START_NODES if nodes is None else _check_nodes(nodes), exact_nodes)
+    g = min(_START_NODES, exact_nodes)
     per_node = (n + 1) // 2 * 2  # evaluations per node count: two halves per column
     columns = previous = None
     work = 0

@@ -331,6 +331,6 @@ def lp_oracle_emd(xs: DistTuple, *, budget: int = 4096) -> Scalar:
     for k, y in enumerate(keys):
         for i, site in enumerate(y):
             a[i * (n + 1) + site - 1][k] = 1
-    b = [m for row in lattice.mass for m in row]
+    b = [int(m) for row in lattice.mass for m in row]  # at D = 1, masses may be Fraction(1)
     value, _ = solve_min(a, b, costs)
     return value if lattice.scale == 1 else value / lattice.scale

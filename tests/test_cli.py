@@ -12,6 +12,8 @@ Core claims:
       a decimal exponent beyond +-1000 is an invalid number (exit 1), refused
       before any integer is built from it, wherever the number sits; so is a
       value or a row total with more than about 2,000 digits;
+      an underscore is read only singly between digits, as in Python
+      literals, and any other is a parse error (exit 1);
       a CSV first row is a header only if none of its cells is a number;
       arbitrary bytes, small JSON and small CSV documents always end in an
       exit code
@@ -20,13 +22,14 @@ Core claims:
       (exit 2) with the field named, before any string is built
     - exit codes: 0 ok, 1 parse/validation, 2 budget/threshold, 3 internal
       invariant violation or a failed selftest; arbitrary argv lists of small
-      words always end in one of them, and a reader that closes the pipe
-      leaves the code unchanged, with no traceback
+      words and the parser's own flags always end in one of them, and a
+      reader that closes the pipe leaves the code unchanged, with no traceback
     - a self-test budget too small for the exhaustive Monge grid skips that
       check rather than failing it; the injected-corruption control runs and
       fails whatever the budget
 """
 
+import argparse
 import io
 import json
 import os
@@ -212,6 +215,37 @@ class TestDocumentParsing:
         with pytest.raises(InvalidNumber, match="decimal exponent is beyond"):
             load_document(str(path))
 
+    @pytest.mark.parametrize("cell", ["_1", "1_", "1__0", "1._5"])
+    @pytest.mark.parametrize(
+        "name, template",
+        [
+            ("bad.json", '{{"distributions": [["{}", 0], [0, 1]]}}'),
+            ("bad.csv", "0,1\n{},0\n"),
+        ],
+        ids=["json-string", "csv-cell"],
+    )
+    def test_stray_underscores_are_parse_errors(self, tmp_path, capsys, name, template, cell):
+        path = tmp_path / name
+        path.write_text(template.format(cell))
+        code, doc, err = run_cli(capsys, "emd", str(path))
+        assert code == 1
+        assert doc is None
+        assert f"cannot parse scalar {cell!r}" in err
+
+    def test_underscores_between_digits_are_accepted(self, tmp_path):
+        path = tmp_path / "grouped.csv"
+        path.write_text("0.2_5,7_5e-3,.67_5\n1_0e-2,0.9,0\n")
+        members = load_document(str(path)).xs.members
+        assert members[0].mass == (F(1, 4), F(3, 40), F(27, 40))
+        assert members[1].mass == (F(1, 10), F(9, 10), 0)
+
+    def test_first_row_of_stray_underscores_is_a_header(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("_1,1_,1__0\n0.5,0.25,0.25\n1,0,0\n")
+        doc = load_document(str(path))
+        assert doc.xs.d == 2
+        assert doc.xs.members[0].mass == (F(1, 2), F(1, 4), F(1, 4))
+
     def test_first_row_with_a_number_is_not_a_header(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("mass,0.5\n0.5,0.5\n1,0\n")
@@ -344,14 +378,26 @@ class TestDocumentFuzz:
 
 _WORDS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "1e3", "nan", "0.5", "1/3", "x", ""])
 _PATHS = st.sampled_from([GOLDEN_JSON, GOLDEN_CSV, str(DATA / "missing.json")])
-_FLAGS = {
-    "emd": ["--plan", "--barycenter", "--digits"],
-    "plan": ["--digits"],
-    "decompose": ["--digits"],
-    "expected": ["--method", "exact", "recursive", "quadrature", "mc", "--samples",
-                 "--seed", "--nodes", "--normalized", "--digits"],
-    "cost": ["--sites", "--digits"],
-}
+
+
+def _parser_flags() -> dict:
+    """Each subcommand but selftest: its option strings and their choices."""
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    flags = {}
+    for name, sub in commands.items():
+        if name == "selftest":  # runs every suite: too slow to fuzz
+            continue
+        options = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        flags[name] = [
+            word for a in options if a.option_strings
+            for word in [*a.option_strings, *(a.choices or ())]
+        ]
+    return flags
+
+
+_FLAGS = _parser_flags()
 
 
 @st.composite
@@ -502,13 +548,13 @@ class TestExpectedCommand:
         assert doc is None
         assert "d=100000 exceeds limit 65536" in err
 
-    def test_quadrature_refuses_zero_nodes(self, capsys):
-        code, doc, err = run_cli(
-            capsys, "expected", "3", "4", "--method", "quadrature", "--nodes", "0"
-        )
-        assert code == 1
-        assert doc is None
-        assert "nodes must be at least 1" in err
+    def test_quadrature_has_no_start_count_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["expected", "2", "65536", "--method", "quadrature", "--nodes", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert "unrecognized arguments: --nodes 2" in captured.err
 
     def test_recursive_small(self, capsys):
         code, doc, _ = run_cli(capsys, "expected", "1", "2", "--method", "recursive")
@@ -550,13 +596,12 @@ class TestExpectedCommand:
         "argv, culprit",
         [
             (["3", "4", "--method", "mc", "--samples", "1000000000000"], "samples exceed limit"),
-            (["3", "4", "--method", "quadrature", "--nodes", "1000000000000"], "nodes exceed limit"),
             (["1000000000", "2", "--method", "mc", "--samples", "2"],
              "a sample of d*n = 2000000000 uniforms exceeds the per-sample limit"),
             (["1000", "100", "--method", "mc"],
              "100000 samples of d*n = 100000 uniforms (10000000000 in all) exceed limit"),
         ],
-        ids=["samples", "nodes", "sample-uniforms", "uniforms"],
+        ids=["samples", "sample-uniforms", "uniforms"],
     )
     def test_work_budget_exit_code(self, capsys, argv, culprit):
         code, doc, err = run_cli(capsys, "expected", *argv)
@@ -585,6 +630,18 @@ class TestCostCommand:
         assert code == 2
         assert doc is None
         assert "site counting over n = 100000000000000000000 sites" in err
+
+    def test_grouped_digits_accepted(self, capsys):
+        code, doc, _ = run_cli(capsys, "cost", "1_000", "0")
+        assert code == 0
+        assert doc["exact"]["cost"] == "1000"
+
+    @pytest.mark.parametrize("value", ["_1", "1_", "1__0", "1._5"])
+    def test_stray_underscore_rejected(self, capsys, value):
+        code, doc, err = run_cli(capsys, "cost", "0", value)
+        assert code == 1
+        assert doc is None
+        assert f"value 2: cannot parse scalar {value!r}" in err
 
     def test_single_value_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "cost", "1")
